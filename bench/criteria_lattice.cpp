@@ -1,4 +1,4 @@
-// E10 — Proposition 2: the criteria lattice SUC ⊊ SEC ∩ UC ⊊ ... ⊊ EC.
+// E17 — Proposition 2: the criteria lattice SUC ⊊ SEC ∩ UC ⊊ ... ⊊ EC.
 //
 // Generates a population of random small ω-tailed set histories, runs
 // all five checkers on each, and reports (a) the population count of
@@ -49,7 +49,7 @@ History<S> random_history(std::uint64_t seed, std::size_t procs,
 
 void print_tables() {
   print_banner(std::cout,
-               "E10: criteria lattice over 400 random histories "
+               "E17: criteria lattice over 400 random histories "
                "(2 procs, <=3 ops each, values {1,2})");
   std::map<std::string, int> population;
   int violations = 0;

@@ -7,8 +7,8 @@
 // consistency from the recorded history alone — black-box, without
 // trusting the store's own convergence report.
 //
-// Capture discipline reuses the src/obs/ ring idea (per-writer fixed
-// slabs, one atomic cursor, no locks on the hot path) with one twist:
+// Capture discipline reuses the src/obs/ ring idea (per-writer
+// storage, one atomic cursor, no locks on the hot path) with one twist:
 // where the trace ring overwrites its oldest events (newest are the
 // interesting ones for a flight recorder), the history recorder drops
 // the *newest* records once a ring is full. An audit needs a
@@ -19,16 +19,27 @@
 // `dropped_history_records` counter; the auditor refuses to certify an
 // incomplete history).
 //
+// A ring's storage grows as records arrive, in geometric segments that
+// are allocated uninitialized on their first write and never move, so
+// `capacity` is purely the drop-newest cap: a 1<<21-record ring that
+// captures 300 records touches memory for 300. A push never relocates
+// an earlier record, which matters because pushes run inside store
+// update() calls on producer threads.
+//
 // Like the tracer, the recorder is owned by the caller (harness/test),
 // never by the store: stores hold a raw pointer that is null when
 // recording is off, so the cost of the feature when unused is one
 // branch per operation.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -72,18 +83,26 @@ class OpRecorder {
  public:
   using Record = OpRecord<A, Key>;
 
-  /// `threads` rings of `capacity` records each are allocated up
-  /// front; `now`/`now_ctx` follow the tracer's injected-clock
-  /// convention (virtual time under the DES, wall time in thread
-  /// runs; null = all timestamps zero).
+  /// Records in a ring's first storage segment; segment k holds
+  /// kFirstSegment << k records.
+  static constexpr std::size_t kFirstSegment = 64;
+  /// `threads` rings that each keep at most `capacity` records; storage
+  /// is allocated as records arrive. `now`/`now_ctx` follow the
+  /// tracer's injected-clock convention (virtual time under the DES,
+  /// wall time in thread runs; null = all timestamps zero).
   OpRecorder(ProcessId pid, std::size_t threads, std::size_t capacity,
              obs::TraceNowFn now = nullptr, void* now_ctx = nullptr)
       : pid_(pid), capacity_(capacity), now_(now), now_ctx_(now_ctx) {
-    UCW_CHECK(threads > 0 && capacity > 0);
+    UCW_CHECK(threads > 0 && capacity > 0 && capacity <= kMaxCapacity);
     rings_.reserve(threads);
     for (std::size_t t = 0; t < threads; ++t) {
       rings_.push_back(std::make_unique<Ring>());
-      rings_.back()->slots.resize(capacity);
+    }
+  }
+
+  ~OpRecorder() {
+    for (auto& ring : rings_) {
+      for_each_kept(*ring, [](Record& r) { std::destroy_at(&r); });
     }
   }
 
@@ -159,26 +178,68 @@ class OpRecorder {
     std::vector<Record> out;
     out.reserve(captured() + final_reads_.size());
     for (std::size_t t = 0; t < rings_.size(); ++t) {
-      const auto& ring = *rings_[t];
-      const std::uint64_t c = ring.count.load(std::memory_order_acquire);
-      const std::uint64_t kept = c < capacity_ ? c : capacity_;
-      for (std::uint64_t i = 0; i < kept; ++i) {
-        Record r = ring.slots[i];
+      for_each_kept(*rings_[t], [&](const Record& kept) {
+        Record r = kept;
         r.pid = pid_;
         r.thread = static_cast<std::uint32_t>(t);
         out.push_back(std::move(r));
-      }
+      });
     }
     for (const auto& r : final_reads_) out.push_back(r);
     return out;
   }
 
  private:
-  struct Ring {
-    /// Total push attempts; slots [0, min(count, capacity)) are live.
-    std::atomic<std::uint64_t> count{0};
-    std::vector<OpRecord<A, Key>> slots;
+  static constexpr std::size_t kMaxSegments = 64;
+  /// Largest accepted capacity; it keeps every segment index below
+  /// kMaxSegments and every segment size representable.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 62;
+
+  /// Raw storage for one record: a segment of these is allocated
+  /// without initialization, so its pages are faulted in only as
+  /// records are constructed into it.
+  struct Slot {
+    alignas(Record) std::byte bytes[sizeof(Record)];
   };
+
+  struct Ring {
+    /// Total push attempts; records [0, min(count, capacity)) are live.
+    std::atomic<std::uint64_t> count{0};
+    /// Segment k covers records [segment_start(k), segment_start(k+1)),
+    /// clipped to the capacity; null until its first record arrives.
+    std::array<std::unique_ptr<Slot[]>, kMaxSegments> segments{};
+  };
+
+  [[nodiscard]] static std::size_t segment_of(std::uint64_t i) {
+    return static_cast<std::size_t>(std::bit_width(i / kFirstSegment + 1)) -
+           1;
+  }
+  [[nodiscard]] static std::uint64_t segment_start(std::size_t k) {
+    return kFirstSegment * ((std::uint64_t{1} << k) - 1);
+  }
+  [[nodiscard]] std::uint64_t segment_size(std::size_t k) const {
+    return std::min<std::uint64_t>(std::uint64_t{kFirstSegment} << k,
+                                   capacity_ - segment_start(k));
+  }
+  /// The record already constructed in slot i of `segment`.
+  [[nodiscard]] static Record* record_at(Slot* segment, std::uint64_t i) {
+    return std::launder(reinterpret_cast<Record*>(segment[i].bytes));
+  }
+
+  /// Calls fn on each kept record of `ring`, in push order. Only valid
+  /// once the ring's writer has quiesced.
+  template <typename Fn>
+  void for_each_kept(const Ring& ring, Fn&& fn) const {
+    const std::uint64_t c = ring.count.load(std::memory_order_acquire);
+    const std::uint64_t kept = c < capacity_ ? c : capacity_;
+    for (std::size_t k = 0; segment_start(k) < kept; ++k) {
+      const std::uint64_t n =
+          std::min(segment_size(k), kept - segment_start(k));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        fn(*record_at(ring.segments[k].get(), i));
+      }
+    }
+  }
 
   [[nodiscard]] double now() const { return now_ ? now_(now_ctx_) : 0.0; }
 
@@ -191,7 +252,13 @@ class OpRecorder {
     const std::uint64_t i = ring.count.fetch_add(1, std::memory_order_relaxed);
     if (i >= capacity_) return;  // drop-newest; surfaced via dropped()
     r.ts = now();
-    ring.slots[i] = std::move(r);
+    const std::size_t k = segment_of(i);
+    std::unique_ptr<Slot[]>& segment = ring.segments[k];
+    if (!segment) {
+      segment = std::make_unique_for_overwrite<Slot[]>(segment_size(k));
+    }
+    ::new (static_cast<void*>(segment[i - segment_start(k)].bytes))
+        Record(std::move(r));
   }
 
   ProcessId pid_;

@@ -8,6 +8,7 @@
 // works on this type: every candidate is itself a replayable spec.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,12 +82,28 @@ struct ScenarioSpec {
     cfg.partitions = partitions;
     cfg.record_history = true;
     // Mutant runs can livelock recovery (a retry loop whose repair the
-    // fault suppresses forever); the ceiling is ~10x a healthy run's
-    // virtual span, so it only ever bites on a broken store — which
-    // then final-reads its diverged states and gets refuted instead of
-    // spinning the DES unboundedly.
-    cfg.sim_horizon = 250'000.0;
+    // fault suppresses forever); the ceiling is 10x the schedule's own
+    // span (never under 250000 virtual µs), so it only ever bites on a
+    // broken store — which then final-reads its diverged states and
+    // gets refuted instead of spinning the DES unboundedly.
+    cfg.sim_horizon = std::max(250'000.0, 10.0 * schedule_span_us());
     return cfg;
+  }
+
+  /// Virtual time the schedule needs before it can quiesce: the longest
+  /// process's ops at the mean think time, the last crash or partition
+  /// change, and each restart plus its resumed ops.
+  [[nodiscard]] double schedule_span_us() const {
+    std::size_t max_ops = 0;
+    for (const std::size_t o : ops_per_process) max_ops = std::max(max_ops, o);
+    double span = static_cast<double>(max_ops) * mean_think_us;
+    for (const CrashPlan& c : crashes) span = std::max(span, c.at);
+    for (const PartitionPlan& p : partitions) span = std::max(span, p.at);
+    for (const RestartPlan& r : restarts) {
+      span = std::max(
+          span, r.at + static_cast<double>(r.resume_ops) * mean_think_us);
+    }
+    return span;
   }
 
   // GCC 12 reports spurious -Wmaybe-uninitialized deep in std::variant

@@ -48,14 +48,21 @@ class SimScheduler {
     return n;
   }
 
-  /// Runs events with time <= t; leaves later events queued and advances
-  /// the clock to exactly t.
-  std::size_t run_until(SimTime t) {
+  /// Runs events with time <= t and leaves later events queued. The
+  /// clock stays at the last executed event, so anything scheduled
+  /// afterwards lands where it would have in an unbounded run.
+  std::size_t run_through(SimTime t) {
     std::size_t n = 0;
     while (!queue_.empty() && queue_.top().at <= t) {
       step();
       ++n;
     }
+    return n;
+  }
+
+  /// run_through(t), then advances the clock to exactly t.
+  std::size_t run_until(SimTime t) {
+    const std::size_t n = run_through(t);
     now_ = std::max(now_, t);
     return n;
   }

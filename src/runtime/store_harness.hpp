@@ -387,13 +387,15 @@ template <UqAdt A, typename GenFn>
     scheduler.after(cfg.flush_period, *tick);
   }
 
-  // Event-driven run, optionally under the sim_horizon ceiling: once
-  // the clock reaches the horizon, later events stay queued (each
-  // rescheduling lands past it), so even a livelocked recovery loop
-  // terminates and falls through to the final reads.
+  // Event-driven run, optionally under the sim_horizon ceiling: events
+  // past the horizon stay queued, so even a livelocked recovery loop
+  // terminates and falls through to the final reads. The clock is not
+  // pushed to the horizon when the queue drains early — the quiesce
+  // flushes and heal-time anti-entropy pulls scheduled after a drained
+  // run must still land inside it and be delivered.
   const auto bounded_run = [&scheduler, &cfg] {
     if (cfg.sim_horizon > 0.0) {
-      (void)scheduler.run_until(cfg.sim_horizon);
+      (void)scheduler.run_through(cfg.sim_horizon);
     } else {
       scheduler.run();
     }

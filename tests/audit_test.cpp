@@ -7,7 +7,9 @@
 // thread-store frontend feeding the same pipeline through per-producer
 // recorder rings and a real ThreadNetwork partition.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -79,6 +81,99 @@ TEST(OpRecorderTest, OverflowDropsNewestAndCounts) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(records[i].stamp.clock, i + 1);  // the prefix, not the tail
   }
+}
+
+/// Resident set size of this process in bytes (Linux /proc), 0 when
+/// unavailable.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  if (!(statm >> total_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(OpRecorderTest, HugeCapacityCostsOnlyWhatIsRecorded) {
+  // Storage grows as records arrive, so the capacity is only a cap: a
+  // 2^40-record ring per thread (tens of terabytes if allocated up
+  // front) must construct, record concurrently, and keep resident
+  // memory proportional to the records captured.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kOpsPerThread = 10'000;
+  const std::size_t rss_before = resident_bytes();
+  OpRecorder<Reg, std::string> rec(/*pid=*/0, kThreads,
+                                   /*capacity=*/std::size_t{1} << 40);
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&rec, t] {
+      for (std::size_t i = 0; i < kOpsPerThread; ++i) {
+        rec.record_update(t, "k", Stamp{static_cast<LogicalTime>(i + 1), 0},
+                          Reg::write(static_cast<std::int64_t>(i)));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(rec.captured(), kThreads * kOpsPerThread);
+  EXPECT_EQ(rec.dropped(), 0u);
+  const std::size_t rss_after = resident_bytes();
+  if (rss_before > 0 && rss_after > rss_before) {
+    // 80k records at ~100 B each, plus at most 2x segment slack.
+    EXPECT_LT(rss_after - rss_before, std::size_t{64} << 20);
+  }
+  const auto records = rec.drain();
+  ASSERT_EQ(records.size(), kThreads * kOpsPerThread);
+  EXPECT_EQ(records.back().thread, kThreads - 1);
+  EXPECT_EQ(records.back().stamp.clock, kOpsPerThread);
+}
+
+TEST(OpRecorderTest, DropsNewestExactlyAtANonSegmentBoundaryCapacity) {
+  // Segment boundaries fall at kFirstSegment * (2^k - 1); a capacity
+  // strictly inside the second segment clips that segment.
+  constexpr std::size_t kFirst = OpRecorder<Reg, std::string>::kFirstSegment;
+  constexpr std::size_t kCapacity = kFirst + kFirst / 2 + 3;
+  OpRecorder<Reg, std::string> rec(0, 1, kCapacity);
+  for (std::size_t i = 0; i < kCapacity + 40; ++i) {
+    rec.record_update(0, "k", Stamp{static_cast<LogicalTime>(i + 1), 0},
+                      Reg::write(static_cast<std::int64_t>(i)));
+    EXPECT_EQ(rec.captured(), std::min(i + 1, kCapacity));
+    EXPECT_EQ(rec.dropped(), i + 1 > kCapacity ? i + 1 - kCapacity : 0);
+  }
+  const auto records = rec.drain();
+  ASSERT_EQ(records.size(), kCapacity);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    EXPECT_EQ(records[i].stamp.clock, i + 1);
+  }
+}
+
+TEST(OpRecorderTest, DrainOrderSurvivesSegmentBoundaries) {
+  // Two threads interleave pushes across several segment boundaries;
+  // the drain is still thread-major with each thread in push order,
+  // final reads last.
+  constexpr std::size_t kFirst = OpRecorder<Reg, std::string>::kFirstSegment;
+  constexpr std::size_t kPerThread = 15 * kFirst + 5;  // spans 4 segments
+  const std::string keys[2] = {"t0", "t1"};
+  OpRecorder<Reg, std::string> rec(/*pid=*/3, /*threads=*/2,
+                                   /*capacity=*/std::size_t{1} << 20);
+  for (std::size_t i = 0; i < kPerThread; ++i) {
+    for (std::size_t t = 0; t < 2; ++t) {
+      rec.record_update(t, keys[t],
+                        Stamp{static_cast<LogicalTime>(i + 1), 3},
+                        Reg::write(static_cast<std::int64_t>(i)));
+    }
+  }
+  rec.record_final_read("t0", kPerThread - 1);
+  const auto records = rec.drain();
+  ASSERT_EQ(records.size(), 2 * kPerThread + 1);
+  for (std::size_t t = 0; t < 2; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const auto& r = records[t * kPerThread + i];
+      ASSERT_EQ(r.thread, t);
+      ASSERT_EQ(r.key, keys[t]);
+      ASSERT_EQ(r.stamp.clock, i + 1);
+      ASSERT_EQ(r.update.value, static_cast<std::int64_t>(i));
+    }
+  }
+  EXPECT_EQ(records.back().kind, audit::OpKind::kFinalRead);
 }
 
 // ----- JSONL interchange ----------------------------------------------
@@ -284,6 +379,32 @@ TEST(ScenarioTest, CleanRandomFaultRunCertifies) {
   EXPECT_TRUE(result.audit.complete);
   EXPECT_EQ(result.audit.uc, Verdict::Yes) << result.audit.summary();
   EXPECT_GT(result.audit.final_reads, 0u);
+}
+
+TEST(ScenarioTest, CleanRunDrainingBeforeTheHorizonCertifies) {
+  // Seed 56's schedule drains at ~21.8 ms virtual, far inside the
+  // horizon. The quiesce flushes scheduled after that drain must still
+  // be delivered (the clock may not jump to the horizon), or replicas
+  // final-read stale states and a clean store is refuted.
+  const ScenarioSpec spec = audit::random_fault_scenario(56, 3, 120);
+  const auto result = audit::run_scenario(spec);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.audit.uc, Verdict::Yes) << result.audit.summary();
+  EXPECT_LT(result.duration_us, spec.to_run_config().sim_horizon);
+}
+
+TEST(ScenarioTest, LongRunHorizonScalesWithTheSchedule) {
+  // 2000 ops/process spans ~240 ms of virtual think time alone; a
+  // fixed 250 ms horizon cut such runs off mid-workload.
+  EXPECT_EQ(audit::random_fault_scenario(1, 3, 120).to_run_config()
+                .sim_horizon,
+            250'000.0);
+  const ScenarioSpec spec = audit::random_fault_scenario(1, 3, 2000);
+  EXPECT_GE(spec.to_run_config().sim_horizon, 10.0 * 2000 * spec.mean_think_us);
+  const auto result = audit::run_scenario(spec);
+  EXPECT_TRUE(result.converged);
+  EXPECT_TRUE(result.audit.complete);
+  EXPECT_EQ(result.audit.uc, Verdict::Yes) << result.audit.summary();
 }
 
 TEST(ScenarioTest, ReplayIsDeterministic) {
