@@ -213,6 +213,8 @@ ArmResult run_arm(const std::string& arm, std::size_t workers,
     r.stats.ring_batch_ops += ss.ring_batch_ops;
     r.stats.zero_copy_reads += ss.zero_copy_reads;
     r.stats.ryw_ring_fallbacks += ss.ryw_ring_fallbacks;
+    r.stats.worker_parks += ss.worker_parks;
+    r.stats.worker_wakes += ss.worker_wakes;
   }
   // Every update costs one ring push-CAS unless it rode a multi-slot
   // claim: ops that landed in batches are ring_batch_ops, paid for by
@@ -257,6 +259,8 @@ void append_json_arm(std::string& out, const ArmResult& r, bool last) {
   out += ", \"zero_copy_reads\": " + std::to_string(r.stats.zero_copy_reads);
   out += ", \"ryw_ring_fallbacks\": " +
          std::to_string(r.stats.ryw_ring_fallbacks);
+  out += ", \"worker_parks\": " + std::to_string(r.stats.worker_parks);
+  out += ", \"worker_wakes\": " + std::to_string(r.stats.worker_wakes);
   out += std::string(", \"converged\": ") +
          (r.converged ? "true" : "false");
   out += last ? "}\n" : "},\n";
@@ -281,7 +285,8 @@ bool run_saturation_sweep(const std::vector<std::size_t>& worker_counts,
                "work, not parallelism)\n";
   TextTable t({"workers", "producers", "arm", "updates", "gets",
                "best wall ms", "ops/sec", "get p50 ns", "get p99 ns",
-               "CAS/update", "router dlvr", "inbox dlvr", "converged"});
+               "CAS/update", "router dlvr", "inbox dlvr", "parks", "wakes",
+               "converged"});
   std::vector<ArmResult> results;
   bool all_converged = true;
   double router_at_max = 0.0, sharded_at_max = 0.0;
@@ -333,6 +338,7 @@ bool run_saturation_sweep(const std::vector<std::size_t>& worker_counts,
       t.add(w, prod, r.arm, r.updates, r.gets, r.wall_seconds * 1e3,
             r.ops_per_sec, r.get_p50_ns, r.get_p99_ns, r.cas_per_update,
             r.stats.router_deliveries, r.stats.inbox_deliveries,
+            r.stats.worker_parks, r.stats.worker_wakes,
             r.converged ? "yes" : "NO");
       results.push_back(r);
     }

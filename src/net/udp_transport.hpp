@@ -40,6 +40,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -168,7 +169,10 @@ class UdpTransport {
   void set_peers(std::vector<UdpEndpoint> peers) {
     UCW_CHECK(peers.size() == peers_.size());
     UCW_CHECK(peers[pid_].port == peers_[pid_].port);
-    peers_ = std::move(peers);
+    // Element-wise under the send lock, never a new vector: the
+    // receiver thread reads the table's size concurrently.
+    std::lock_guard lock(send_mutex_);
+    std::copy(peers.begin(), peers.end(), peers_.begin());
   }
 
   [[nodiscard]] std::size_t size() const { return peers_.size(); }

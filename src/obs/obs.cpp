@@ -511,6 +511,8 @@ void fill_registry(MetricsRegistry& reg, const ProcessReport& proc) {
   c("ring_batch_ops", s.ring_batch_ops);
   c("zero_copy_reads", s.zero_copy_reads);
   c("ryw_ring_fallbacks", s.ryw_ring_fallbacks);
+  c("worker_parks", s.worker_parks);
+  c("worker_wakes", s.worker_wakes);
   c("envelopes_sent", s.envelopes_sent);
   c("entries_sent", s.entries_sent);
   c("flushes_full", s.flushes_full);

@@ -4,7 +4,7 @@
 // track of a process, tracks 1..W its worker threads — and every hook
 // in the store is a single `record()` call: read the clock, bump the
 // ring head, write one POD slot. The ring is the overwriting cousin of
-// `util/spsc_ring.hpp`: same power-of-two indexing and cache-aligned
+// `util/mpsc_ring.hpp`: same power-of-two indexing and cache-aligned
 // head counter, but instead of back-pressure a full ring silently
 // overwrites its oldest slot and counts the loss. Tracing must never
 // block a worker; dropping the oldest history is the correct failure

@@ -5,7 +5,6 @@
 #include "adt/all.hpp"
 
 #include "recovery/all.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace ucw {
 
@@ -25,7 +24,6 @@ template class ThreadUcStore<SetAdt<int>>;
 template class ThreadUcStore<CounterAdt>;
 template class StoreWorkerPool<ThreadUcStore<SetAdt<int>>>;
 template class StoreWorkerPool<ThreadUcStore<CounterAdt>>;
-template class SpscRing<int>;
 template class MpscRing<int>;
 template class SeqlockView<std::set<int>>;
 template class SimNetwork<BatchEnvelope<SetAdt<int>>>;

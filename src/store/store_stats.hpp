@@ -61,6 +61,12 @@ struct StoreStats {
   /// get()s that took the ring because the caller's own last write to
   /// the owning worker was not yet applied (read-your-writes fallback).
   std::uint64_t ryw_ring_fallbacks = 0;
+  /// Pool idle policy (worker_pool.hpp): times a worker parked, and
+  /// producer-side notifies that woke a parked one. Plain updates wake
+  /// a worker only once a flush window is waiting, so on a busy pool
+  /// wakes stay near updates / batch_window.
+  std::uint64_t worker_parks = 0;
+  std::uint64_t worker_wakes = 0;
   std::uint64_t envelopes_sent = 0;   ///< reliable broadcasts issued
   std::uint64_t entries_sent = 0;     ///< keyed updates those carried
   std::uint64_t flushes_full = 0;     ///< batch window filled
@@ -187,8 +193,9 @@ inline void print_store_table(std::ostream& os,
 /// One line of cluster-wide single-node-saturation counters: how remote
 /// entries were delivered (sharded inboxes vs the legacy router lock),
 /// how well ring CAS claims amortized, and how the read path split
-/// between zero-copy snapshots and read-your-writes fallbacks. Printed
-/// by print_observability whenever any of them is nonzero.
+/// between zero-copy snapshots and read-your-writes fallbacks, and how
+/// often pool workers parked and were woken. Printed by
+/// print_observability whenever any of them is nonzero.
 inline void print_saturation_line(
     std::ostream& os, const std::vector<StoreStats>& per_process) {
   StoreStats t;
@@ -199,9 +206,12 @@ inline void print_saturation_line(
     t.ring_batch_ops += s.ring_batch_ops;
     t.zero_copy_reads += s.zero_copy_reads;
     t.ryw_ring_fallbacks += s.ryw_ring_fallbacks;
+    t.worker_parks += s.worker_parks;
+    t.worker_wakes += s.worker_wakes;
   }
   if (t.inbox_deliveries + t.router_deliveries + t.ring_batch_claims +
-          t.zero_copy_reads + t.ryw_ring_fallbacks ==
+          t.zero_copy_reads + t.ryw_ring_fallbacks + t.worker_parks +
+          t.worker_wakes ==
       0) {
     return;
   }
@@ -214,7 +224,8 @@ inline void print_saturation_line(
      << t.router_deliveries << " router deliveries, "
      << t.ring_batch_claims << " batch claims (" << ops_per_claim
      << " ops/claim), " << t.zero_copy_reads << " zero-copy reads, "
-     << t.ryw_ring_fallbacks << " ryw fallbacks\n";
+     << t.ryw_ring_fallbacks << " ryw fallbacks, " << t.worker_parks
+     << " worker parks, " << t.worker_wakes << " worker wakes\n";
 }
 
 /// One row per process of recovery activity: GC folds, the stability

@@ -21,7 +21,13 @@
 //     delivery already is, and per-key arbitration never cared.
 //   * M *worker threads* own disjoint shard-engine sets (shard → worker
 //     by index mod M — stable across restarts) and apply, batch, flush,
-//     and GC-fold their own engines only.
+//     and GC-fold their own engines only. An idle worker parks, and a
+//     plain update wakes it only once a flush window of work waits for
+//     it (worker_pool.hpp), so a pooled update is applied when its
+//     worker's window fills, when a sync op (query, ring-fallback get,
+//     flush, quiesce) or a remote delivery reaches that worker, or
+//     within 1 ms. A sync op on a parked worker runs the worker's loop
+//     on the calling thread instead of waking it.
 //   * get() is the wait-free read path: a hot key (any key get() has
 //     read once) has a seqlock-published view the reading thread loads
 //     as an immutable shared snapshot with bounded retries — ZERO state
@@ -169,7 +175,11 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   /// Wait-free keyed update. Stamps, applies (synchronously unpooled;
   /// via the owning worker's ring pooled), buffers for the next flush;
   /// returns the arbitration stamp. Never waits on any other process.
-  /// Pooled: safe from up to `max_producers` concurrent client threads.
+  /// Pooled: safe from up to `max_producers` concurrent client threads,
+  /// and applied by the owning worker once its flush window fills, a
+  /// sync op or remote delivery reaches it, or its 1 ms park times out
+  /// — whichever is first. The calling thread's own get()/query()
+  /// always sees it.
   Stamp update(const Key& key, typename A::Update u) {
     if (!pool_) return Core::update(key, u);
     (void)try_deliver_inbox();
@@ -382,17 +392,20 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   }
 
   /// Ships every pending batch, heartbeats the stability ack, and runs
-  /// the GC fold. Pooled: any thread, concurrently with client-thread
+  /// the GC fold (pooled: queues it on the workers' rings without
+  /// waiting for it). Pooled: any thread, concurrently with client-thread
   /// updates — the tick serializes on the router lock, the honest-ack
   /// barrier and ring-riding fold keep it correct while updates race
   /// (see file header). Returns entries flushed.
   std::size_t flush() {
     if (!pool_) return Core::flush();
+    // Deliver before taking the router lock, as poll() does: with the
+    // duty ring full, deliver_sharded try-locks router_mutex_ itself.
+    if (!this->config().router_delivery) (void)try_deliver_inbox();
     std::lock_guard lock(router_mutex_);
     if (this->config().router_delivery) {
       (void)route_inbox_locked();
     } else {
-      (void)try_deliver_inbox();
       (void)drain_duty_locked();
     }
     // The barrier *before* the flush ops: every stamp at or below it is
@@ -415,7 +428,7 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
         const std::size_t per_worker =
             budget == 0 ? 0
                         : (budget + pool_->workers() - 1) / pool_->workers();
-        (void)pool_->gc_all(floor, per_worker);
+        pool_->gc_all(floor, per_worker);
       }
     }
     // Reads only atomics (worker-side last-applied mirrors, the lag

@@ -35,17 +35,52 @@
 //     router-computed floor, and charges a private StoreStats slice, so
 //     concurrent ticks never share a cache line, let alone a lock.
 //
+// Idle and wake policy. A worker with nothing to do spins 64 polls (the
+// back-to-back case), then parks on its condition variable with a 1 ms
+// timed wait. There is no yield phase in between: at ~10k ops/s per
+// worker the next op always landed inside a 4096-yield window, so
+// workers never parked and each burned a core on sched_yield syscalls.
+// What a parked worker's work waits for depends on who needs it done:
+//
+//   * a caller that blocks on an op (query, flush, quiesce) does not
+//     wake it: it takes the worker's mutex and runs the worker's loop
+//     itself until its op is done (await). A wake-up costs tens of
+//     microseconds to milliseconds of scheduling latency on a loaded
+//     host; running inline costs none;
+//   * remote deliveries, stop() and a producer facing a full ring wake
+//     it at once;
+//   * GC folds are compaction nobody waits for: gc_all() queues them
+//     without waking, and the worker runs them with its next batch;
+//   * plain updates (enqueue_update, enqueue_update_batch) wake it only
+//     once its ring backlog (ring position + 1 − processed) reaches the
+//     flush window: batch_window, or 1 under adaptive_window, whose
+//     point is that a lone update ships at once. The producer fast path
+//     stays one ring push plus one load of `sleeping`; the backlog is
+//     read only when the worker is parked.
+//
+// Updates are wait-free and reads may return outdated values, so a
+// local update need not be applied the instant it is enqueued: a
+// sub-window update is applied when the window fills, when a sync op
+// or remote delivery reaches the worker, or when the park times out —
+// within 1 ms. The worker is woken exactly when it would flush a full
+// window, so the envelope cadence is unchanged, and read-your-writes
+// still holds: a get() whose ticket the worker has not processed takes
+// the ring round trip, which runs the backlog.
+//
 // Store-wide concerns stay behind the router lock (ThreadUcStore): the
 // stability tracker is fed by envelope-header notes queued at delivery
 // time and folded in on the router's tick, and the GC floor is computed
-// there and handed to workers as a ring op — engine state is touched by
-// its owner only, always. A get() that falls back to the ring promotes
-// its key to a published read view (shard_engine.hpp), which is what
-// lets the *next* get() of that key skip the ring entirely.
+// there and handed to workers as a ring op — engine state is touched
+// only by whoever runs its worker's loop. A get() that falls back to
+// the ring promotes its key to a published read view (shard_engine.hpp),
+// which is what lets the *next* get() of that key skip the ring
+// entirely.
 //
 // Synchronization contract (what TSan checks): every engine is touched
-// by exactly one worker; other threads observe worker effects only
-// through `processed` (release) after `quiesce()` (acquire) — which
+// by one thread at a time — its worker, or a caller running the parked
+// worker's loop under the worker's mutex, which hands the state over in
+// both directions; other threads observe worker effects only through
+// `processed` (release) after `quiesce()` (acquire) — which
 // makes post-drain reads of engine state and stats slices sound once
 // producers have stopped — or through the seqlock views, which are safe
 // under full concurrency.
@@ -115,8 +150,7 @@ class StoreWorkerPool {
     bool promote_key = false;  ///< kQuery: publish a view for this key
     const typename A::QueryIn* query_in = nullptr;
     typename A::QueryOut* query_out = nullptr;
-    std::atomic<std::uint32_t>* done = nullptr;
-    std::atomic<std::size_t>* counted = nullptr;  ///< flushed / folded
+    std::atomic<std::size_t>* counted = nullptr;  ///< kFlush: entries
   };
 
   struct Worker {
@@ -135,13 +169,19 @@ class StoreWorkerPool {
     std::size_t gc_cursor = 0;     ///< incremental-fold resume point
     std::atomic<std::uint64_t> processed{0};
     std::atomic<std::uint64_t> remote_processed{0};  ///< entries applied
-    // Idle parking: after a spin budget the worker sleeps on the cv
-    // (bounded by a timeout, so a lost wake costs a millisecond, never
-    // liveness); producers only take the lock when `sleeping` says
-    // someone is actually parked, keeping the push fast path lock-free.
+    // Idle parking (see the file header): the worker sleeps on the cv
+    // with a timeout, so a lost wake costs a millisecond, never
+    // liveness. `sleeping` is set, under the mutex, from the worker's
+    // pre-park check until it has re-taken the mutex after its wait:
+    // producers take the lock only when it is set, and a caller that
+    // holds the lock and sees it set owns the worker's loop (await).
     std::mutex mutex;
     std::condition_variable cv;
     std::atomic<bool> sleeping{false};
+    bool notified = false;  ///< this park's one notify was sent (mutex)
+    std::atomic<std::uint64_t> parks{0};  ///< times the worker slept
+    std::atomic<std::uint64_t> wakes{0};  ///< producer-side notifies
+    bool stopping = false;  ///< a kStop op was processed
     std::thread thread;
   };
 
@@ -150,11 +190,20 @@ class StoreWorkerPool {
   static constexpr std::size_t kRemoteRingCapacity = 4096;
   /// Ops a worker takes from its ring per try_pop_n block.
   static constexpr std::size_t kDrainBlock = 64;
+  /// Empty polls a worker spins through before it parks.
+  static constexpr std::size_t kSpinPolls = 64;
+  /// Longest park: bounds a lost wake and a sub-window update's wait.
+  static constexpr std::chrono::milliseconds kParkTimeout{1};
   /// "No writes yet" ticket sentinel (see enqueue_update).
   static constexpr std::uint64_t kNoTicket =
       std::numeric_limits<std::uint64_t>::max();
 
-  StoreWorkerPool(Store& store, std::size_t n_workers) : store_(store) {
+  StoreWorkerPool(Store& store, std::size_t n_workers)
+      : store_(store),
+        wake_backlog_(store.config().adaptive_window
+                          ? 1
+                          : store.config().batch_window),
+        tick_pos_(n_workers) {
     UCW_CHECK(n_workers >= 1);
     workers_.reserve(n_workers);
     for (std::size_t w = 0; w < n_workers; ++w) {
@@ -184,7 +233,8 @@ class StoreWorkerPool {
     for (auto& w : workers_) {
       Op op;
       op.kind = Op::Kind::kStop;
-      push(*w, std::move(op));
+      (void)push(*w, std::move(op));
+      wake(*w);
     }
     for (auto& w : workers_) w->thread.join();
   }
@@ -193,7 +243,8 @@ class StoreWorkerPool {
   /// Returns the op's ring-position *ticket*: the consumer pops in
   /// position order and bumps `processed` once per op, so
   /// `worker_processed(w) > ticket` is a precise "my update has been
-  /// applied" test — the read-your-writes check behind get().
+  /// applied" test — the read-your-writes check behind get(). Wakes a
+  /// parked worker only once a flush window of work is waiting.
   std::uint64_t enqueue_update(std::size_t engine_index, const Key& key,
                                UpdateMessage<A> msg) {
     Op op;
@@ -201,7 +252,10 @@ class StoreWorkerPool {
     op.engine = static_cast<std::uint32_t>(engine_index);
     op.key = key;
     op.msg = std::move(msg);
-    return push(*workers_[worker_of(engine_index)], std::move(op));
+    Worker& w = *workers_[worker_of(engine_index)];
+    const std::uint64_t pos = push(w, std::move(op));
+    wake_for_backlog(w, pos);
+    return pos;
   }
 
   /// Batched enqueue: every element must belong to `worker` (the caller
@@ -240,12 +294,13 @@ class StoreWorkerPool {
           std::min(block.size() - off, kRingCapacity / 2);
       std::uint64_t pos = 0;
       while (!w.ring.try_push_n(block.data() + off, n, &pos)) {
+        wake(w);  // full ring: the owner is behind, get it moving
         std::this_thread::yield();
       }
       ++claims;
       last_pos = pos + n - 1;
       off += n;
-      wake(w);
+      wake_for_backlog(w, last_pos);
     }
     if (claims_out != nullptr) *claims_out = claims;
     return last_pos;
@@ -286,7 +341,9 @@ class StoreWorkerPool {
     op.from = from;
     op.key = key;
     op.msg = msg;
-    push(*workers_[worker_of(engine_index)], std::move(op));
+    Worker& w = *workers_[worker_of(engine_index)];
+    (void)push(w, std::move(op));
+    wake(w);
   }
 
   /// Runs the query on the owning worker and waits for the answer —
@@ -300,7 +357,6 @@ class StoreWorkerPool {
       std::size_t engine_index, const Key& key,
       const typename A::QueryIn& qi, bool promote) {
     typename A::QueryOut out{};
-    std::atomic<std::uint32_t> done{0};
     Op op;
     op.kind = Op::Kind::kQuery;
     op.engine = static_cast<std::uint32_t>(engine_index);
@@ -308,11 +364,8 @@ class StoreWorkerPool {
     op.promote_key = promote;
     op.query_in = &qi;
     op.query_out = &out;
-    op.done = &done;
-    push(*workers_[worker_of(engine_index)], std::move(op));
-    while (done.load(std::memory_order_acquire) == 0) {
-      std::this_thread::yield();
-    }
+    Worker& w = *workers_[worker_of(engine_index)];
+    await(w, w.processed, push(w, std::move(op)) + 1);
     return out;
   }
 
@@ -320,86 +373,149 @@ class StoreWorkerPool {
   /// engines into one envelope and re-sizes its adaptive windows.
   /// Returns total entries flushed. Router-lock holder only.
   std::size_t flush_all() {
-    std::atomic<std::uint32_t> done{0};
     std::atomic<std::size_t> flushed{0};
-    for (auto& w : workers_) {
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
       Op op;
       op.kind = Op::Kind::kFlush;
-      op.done = &done;
       op.counted = &flushed;
-      push(*w, std::move(op));
+      tick_pos_[i] = push(*workers_[i], std::move(op));
     }
-    while (done.load(std::memory_order_acquire) < workers_.size()) {
-      std::this_thread::yield();
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      await(*workers_[i], workers_[i]->processed, tick_pos_[i] + 1);
     }
     return flushed.load(std::memory_order_relaxed);
   }
 
-  /// Synchronous GC tick: every worker folds its own dirty engines to
+  /// GC tick: queues, on every worker, a fold of its dirty engines to
   /// `floor`, spending at most `budget_per_worker` engines (0 = all of
-  /// them), resuming round-robin where its previous fold stopped.
-  /// Returns entries folded. Router-lock holder only. Because the fold
-  /// rides the same rings as updates, every entry enqueued before this
-  /// call is applied before its engine folds — which is what lets the
-  /// router raise the floor up to the stamp barrier (see
-  /// ThreadUcStore::flush) without folding over an in-ring entry.
-  std::size_t gc_all(LogicalTime floor, std::size_t budget_per_worker) {
-    std::atomic<std::uint32_t> done{0};
-    std::atomic<std::size_t> folded{0};
+  /// them), resuming round-robin where its previous fold stopped. Does
+  /// not wait and does not wake: the fold is compaction, so it runs
+  /// whenever the worker next runs — within one park timeout — instead
+  /// of on the caller's flush tick. Because the fold rides the same
+  /// rings as updates, every entry enqueued before this call is applied
+  /// before its engine folds — which is what lets the router raise the
+  /// floor up to the stamp barrier (see ThreadUcStore::flush) without
+  /// folding over an in-ring entry. Router-lock holder only.
+  void gc_all(LogicalTime floor, std::size_t budget_per_worker) {
     for (auto& w : workers_) {
       Op op;
       op.kind = Op::Kind::kGc;
       op.gc_floor = floor;
       op.engine = static_cast<std::uint32_t>(budget_per_worker);
-      op.done = &done;
-      op.counted = &folded;
-      push(*w, std::move(op));
+      (void)push(*w, std::move(op));
     }
-    while (done.load(std::memory_order_acquire) < workers_.size()) {
-      std::this_thread::yield();
-    }
-    return folded.load(std::memory_order_relaxed);
   }
 
-  /// Blocks until every op pushed before this call has been processed.
-  /// With producers stopped, engine state (drain barriers, state_of,
-  /// stats) is then safely readable from the calling thread; with
-  /// producers still running it is only a point-in-time drain barrier.
-  void quiesce() const {
+  /// Blocks until every op pushed before this call has been processed,
+  /// running a parked worker's sub-window backlog itself. With
+  /// producers stopped, engine state (drain barriers, state_of, stats)
+  /// is then safely readable from the calling thread; with producers
+  /// still running it is only a point-in-time drain barrier.
+  void quiesce() {
     for (const auto& w : workers_) {
-      const std::uint64_t remote_target = w->remote.pushed();
-      while (w->remote_processed.load(std::memory_order_acquire) <
-             remote_target) {
-        std::this_thread::yield();
-      }
-      const std::uint64_t target = w->ring.pushed();
-      while (w->processed.load(std::memory_order_acquire) < target) {
-        std::this_thread::yield();
-      }
+      await(*w, w->remote_processed, w->remote.pushed());
+      await(*w, w->processed, w->ring.pushed());
     }
   }
 
-  /// Folds the workers' private flush/GC accounting slices into `s`.
-  /// Callers quiesce first.
+  /// Folds the workers' private flush/GC accounting slices and their
+  /// park/wake counts into `s`. Callers quiesce first.
   void merge_stats(StoreStats& s) const {
-    for (const auto& w : workers_) merge_wire_counters(s, w->stats);
+    for (const auto& w : workers_) {
+      merge_wire_counters(s, w->stats);
+      s.worker_parks += w->parks.load(std::memory_order_relaxed);
+      s.worker_wakes += w->wakes.load(std::memory_order_relaxed);
+    }
   }
 
  private:
+  /// Claims a ring slot for `op` and returns its position. Wakes the
+  /// worker only while the ring is full; callers decide the rest.
   std::uint64_t push(Worker& w, Op&& op) {
     std::uint64_t pos = 0;
-    while (!w.ring.try_push(std::move(op), &pos)) std::this_thread::yield();
-    wake(w);
+    while (!w.ring.try_push(std::move(op), &pos)) {
+      wake(w);  // full ring: the owner is behind, get it moving
+      std::this_thread::yield();
+    }
     return pos;
   }
 
-  void wake(Worker& w) {
-    if (w.sleeping.load(std::memory_order_seq_cst)) {
-      // Parked consumer: the lock pairs the notify with its wait-check
-      // so the wake cannot slip between "ring empty" and "sleep".
-      std::lock_guard lock(w.mutex);
-      w.cv.notify_one();
+  /// Wakes `w` if it is parked and `lagging()` holds. The predicate is
+  /// checked without the lock first, so a parked worker costs a
+  /// producer that does not wake it no lock traffic, then again under
+  /// the lock, where it is exact: the worker only parks after
+  /// publishing its counters. A busy lock is not waited for — its
+  /// holder is the worker about to re-check its rings, another waker,
+  /// or a caller running the worker's loop (await) — so a producer
+  /// never blocks here, and a wake skipped this way costs at most one
+  /// park timeout. `notified` makes one park take at most one notify,
+  /// sent after unlocking so the worker need not block on the mutex
+  /// again.
+  template <typename Pred>
+  static void wake_if(Worker& w, Pred lagging) {
+    if (!w.sleeping.load(std::memory_order_seq_cst) || !lagging()) return;
+    {
+      std::unique_lock lock(w.mutex, std::try_to_lock);
+      if (!lock.owns_lock() || !w.sleeping.load(std::memory_order_relaxed) ||
+          w.notified || !lagging()) {
+        return;
+      }
+      w.notified = true;
     }
+    w.wakes.fetch_add(1, std::memory_order_relaxed);
+    w.cv.notify_one();
+  }
+
+  static void wake(Worker& w) {
+    wake_if(w, [] { return true; });
+  }
+
+  /// Plain-update wake: only once the ops up to ring position `last`
+  /// that `w` has not processed fill a flush window.
+  void wake_for_backlog(Worker& w, std::uint64_t last) const {
+    wake_if(w, [&] {
+      const std::uint64_t done = w.processed.load(std::memory_order_relaxed);
+      return done <= last && last + 1 - done >= wake_backlog_;
+    });
+  }
+
+  /// Blocks until `counter` (one of `w`'s processed counts) reaches
+  /// `target`. A parked worker, even one already notified, is not
+  /// waited for: the caller takes its mutex and runs its loop inline
+  /// until the target is reached. The worker cannot leave its wait
+  /// while the mutex is held, and the mutex hands its state over in
+  /// both directions, so the engines still have one owner at a time —
+  /// and an op someone waits on never waits out a wake-up's
+  /// scheduling latency.
+  void await(Worker& w, const std::atomic<std::uint64_t>& counter,
+             std::uint64_t target) {
+    while (counter.load(std::memory_order_acquire) < target) {
+      if (w.sleeping.load(std::memory_order_seq_cst)) {
+        std::unique_lock lock(w.mutex, std::try_to_lock);
+        if (lock.owns_lock() && w.sleeping.load(std::memory_order_relaxed)) {
+          while (counter.load(std::memory_order_relaxed) < target) {
+            if (!run_once(w)) std::this_thread::yield();
+          }
+          return;
+        }
+      }
+      std::this_thread::yield();
+    }
+  }
+
+  /// Sleeps until notified or kParkTimeout passes. The emptiness
+  /// check after publishing `sleeping` means an op pushed before it
+  /// keeps the worker up; one pushed after it finds the worker parked,
+  /// and wakes it or runs its loop, as the op's policy says.
+  void park(Worker& w) {
+    std::unique_lock lock(w.mutex);
+    w.sleeping.store(true, std::memory_order_seq_cst);
+    if (w.ring.empty() && w.remote.empty()) {
+      w.parks.fetch_add(1, std::memory_order_relaxed);
+      w.notified = false;
+      w.cv.wait_for(lock, kParkTimeout, [&] { return w.notified; });
+    }
+    w.sleeping.store(false, std::memory_order_relaxed);
   }
 
   /// Applies every remote entry currently in `w`'s inbox (owner thread
@@ -431,145 +547,139 @@ class StoreWorkerPool {
     if (store_.config().pin_workers) {
       (void)pin_current_thread_to_core(static_cast<std::size_t>(w.track) - 1);
     }
-    std::size_t idle = 0;
     w.block.reserve(kDrainBlock);
     w.rblock.reserve(kDrainBlock);
+    std::size_t idle = 0;
+    while (!w.stopping) {
+      if (run_once(w)) {
+        idle = 0;
+        continue;
+      }
+      // Hot spin for back-to-back ops, then park. `idle` stays past the
+      // spin budget after a park, so a timeout that finds no work parks
+      // again at once.
+      if (++idle > kSpinPolls) park(w);
+    }
+  }
+
+  /// One pass of the worker loop: applies the remote inbox, then one
+  /// block of ring ops. False when the ring had nothing to pop. Run by
+  /// the worker, or by a caller that holds the parked worker's mutex
+  /// (await), never by two threads at once.
+  bool run_once(Worker& w) {
+    drain_remote(w);
+    w.block.clear();
+    std::size_t got = 0;
     // The comparison arm (StoreConfig::router_delivery) restores the
     // pre-rework consumer too: one pop per loop, no block drains — so
     // a benchmark flipping the flag measures the whole saturation
     // rework, not just where delivery entries land.
-    const bool legacy_pops = store_.config().router_delivery;
-    for (;;) {
-      drain_remote(w);
-      w.block.clear();
-      std::size_t got = 0;
-      if (legacy_pops) {
-        if (auto op = w.ring.try_pop()) {
-          w.block.push_back(std::move(*op));
-          got = 1;
-        }
-      } else {
-        got = w.ring.try_pop_n(w.block, kDrainBlock);
+    if (store_.config().router_delivery) {
+      if (auto op = w.ring.try_pop()) {
+        w.block.push_back(std::move(*op));
+        got = 1;
       }
-      if (got == 0) {
-        // Brief spin for the common back-to-back case, a yield phase so
-        // an oversubscribed host (or a producer on a single core) runs,
-        // then park — an idle pool must not burn a core per worker. The
-        // timed wait bounds any lost-wake window at 1 ms.
-        ++idle;
-        if (idle > 64 && idle <= 4096) {
-          std::this_thread::yield();
-        } else if (idle > 4096) {
-          std::unique_lock lock(w.mutex);
-          w.sleeping.store(true, std::memory_order_seq_cst);
-          w.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-            return !w.ring.empty() || !w.remote.empty();
-          });
-          w.sleeping.store(false, std::memory_order_relaxed);
-          idle = 65;  // back to the yield phase, not the hot spin
-        }
-        continue;
-      }
-      idle = 0;
-      bool stop = false;
-      for (Op& popped : w.block) {
-        Op* op = &popped;
-        switch (op->kind) {
-          case Op::Kind::kUpdate: {
-            Engine& e = store_.engine(op->engine);
-            const LogicalTime sc = op->msg.stamp.clock;
-            e.local_update(op->key, std::move(op->msg));
-            if (const auto& o = store_.obs_;
-                o && o->tracer && o->sampled(sc)) {
-              o->tracer->instant(w.track, obs::TraceEventKind::kApplyLocal,
-                                 sc);
-            }
-            ++w.pending;
-            const bool full =
-                store_.config().adaptive_window
-                    ? e.window_filled()
-                    : w.pending >= store_.config().batch_window;
-            if (full) {
-              (void)store_.flush_engines(w.engines, FlushCause::kWindowFull,
-                                         w.stats, /*piggyback_ack=*/false,
-                                         w.track);
-              w.pending = 0;
-            }
-            break;
-          }
-          case Op::Kind::kRemote:
-            // Legacy router-fanned delivery (StoreConfig::router_delivery).
-            (void)store_.engine(op->engine).apply_remote(op->from, op->key,
-                                                         op->msg);
-            if (const auto& o = store_.obs_;
-                o && o->tracer && o->sampled(op->msg.stamp.clock)) {
-              o->tracer->instant(w.track, obs::TraceEventKind::kApplyRemote,
-                                 op->msg.stamp.clock);
-            }
-            break;
-          case Op::Kind::kQuery: {
-            Engine& e = store_.engine(op->engine);
-            *op->query_out = e.query(op->key, *op->query_in);
-            // A get() fallback promotes: from here on this key answers
-            // get() from its published view, no ring round trip.
-            if (op->promote_key) e.promote(op->key);
-            op->done->store(1, std::memory_order_release);
-            break;
-          }
-          case Op::Kind::kFlush: {
-            for (Engine* e : w.engines) e->on_flush_tick();
-            const std::size_t n = store_.flush_engines(
-                w.engines, FlushCause::kManual, w.stats,
-                /*piggyback_ack=*/false, w.track);
-            w.pending = 0;
-            op->counted->fetch_add(n, std::memory_order_relaxed);
-            op->done->fetch_add(1, std::memory_order_release);
-            break;
-          }
-          case Op::Kind::kGc: {
-            // Entries the floor covers may still sit in the remote
-            // inbox (they were pushed there before the floor was
-            // computed): apply them before folding.
-            drain_remote(w);
-            // op->engine carries the per-worker budget (0 = every dirty
-            // engine); the dirty-cursor skip keeps clean engines O(1).
-            std::size_t budget = op->engine;
-            const std::size_t n = w.engines.size();
-            if (budget == 0 || budget > n) budget = n;
-            std::size_t folded = 0;
-            std::size_t visited = 0;
-            std::size_t step = 0;
-            for (; step < n && visited < budget; ++step) {
-              Engine& e = *w.engines[(w.gc_cursor + step) % n];
-              if (!e.gc_pending(op->gc_floor)) continue;
-              folded += e.fold_to(op->gc_floor);
-              ++visited;
-            }
-            w.gc_cursor = n == 0 ? 0 : (w.gc_cursor + step) % n;
-            if (visited > 0) {
-              ++w.stats.gc_runs;
-              w.stats.gc_folded += folded;
-            }
-            if (const auto& o = store_.obs_; o && o->tracer && folded > 0) {
-              o->tracer->instant(w.track, obs::TraceEventKind::kGcFold,
-                                 folded, op->gc_floor);
-            }
-            op->counted->fetch_add(folded, std::memory_order_relaxed);
-            op->done->fetch_add(1, std::memory_order_release);
-            break;
-          }
-          case Op::Kind::kStop:
-            stop = true;
-            break;
-        }
-        w.processed.fetch_add(1, std::memory_order_release);
-      }
-      if (stop) return;
+    } else {
+      got = w.ring.try_pop_n(w.block, kDrainBlock);
     }
+    if (got == 0) return false;
+    for (Op& popped : w.block) {
+      Op* op = &popped;
+      switch (op->kind) {
+        case Op::Kind::kUpdate: {
+          Engine& e = store_.engine(op->engine);
+          const LogicalTime sc = op->msg.stamp.clock;
+          e.local_update(op->key, std::move(op->msg));
+          if (const auto& o = store_.obs_;
+              o && o->tracer && o->sampled(sc)) {
+            o->tracer->instant(w.track, obs::TraceEventKind::kApplyLocal,
+                               sc);
+          }
+          ++w.pending;
+          const bool full =
+              store_.config().adaptive_window
+                  ? e.window_filled()
+                  : w.pending >= store_.config().batch_window;
+          if (full) {
+            (void)store_.flush_engines(w.engines, FlushCause::kWindowFull,
+                                       w.stats, /*piggyback_ack=*/false,
+                                       w.track);
+            w.pending = 0;
+          }
+          break;
+        }
+        case Op::Kind::kRemote:
+          // Legacy router-fanned delivery (StoreConfig::router_delivery).
+          (void)store_.engine(op->engine).apply_remote(op->from, op->key,
+                                                       op->msg);
+          if (const auto& o = store_.obs_;
+              o && o->tracer && o->sampled(op->msg.stamp.clock)) {
+            o->tracer->instant(w.track, obs::TraceEventKind::kApplyRemote,
+                               op->msg.stamp.clock);
+          }
+          break;
+        case Op::Kind::kQuery: {
+          Engine& e = store_.engine(op->engine);
+          *op->query_out = e.query(op->key, *op->query_in);
+          // A get() fallback promotes: from here on this key answers
+          // get() from its published view, no ring round trip.
+          if (op->promote_key) e.promote(op->key);
+          break;
+        }
+        case Op::Kind::kFlush: {
+          for (Engine* e : w.engines) e->on_flush_tick();
+          const std::size_t n = store_.flush_engines(
+              w.engines, FlushCause::kManual, w.stats,
+              /*piggyback_ack=*/false, w.track);
+          w.pending = 0;
+          op->counted->fetch_add(n, std::memory_order_relaxed);
+          break;
+        }
+        case Op::Kind::kGc: {
+          // Entries the floor covers may still sit in the remote
+          // inbox (they were pushed there before the floor was
+          // computed): apply them before folding.
+          drain_remote(w);
+          // op->engine carries the per-worker budget (0 = every dirty
+          // engine); the dirty-cursor skip keeps clean engines O(1).
+          std::size_t budget = op->engine;
+          const std::size_t n = w.engines.size();
+          if (budget == 0 || budget > n) budget = n;
+          std::size_t folded = 0;
+          std::size_t visited = 0;
+          std::size_t step = 0;
+          for (; step < n && visited < budget; ++step) {
+            Engine& e = *w.engines[(w.gc_cursor + step) % n];
+            if (!e.gc_pending(op->gc_floor)) continue;
+            folded += e.fold_to(op->gc_floor);
+            ++visited;
+          }
+          w.gc_cursor = n == 0 ? 0 : (w.gc_cursor + step) % n;
+          if (visited > 0) {
+            ++w.stats.gc_runs;
+            w.stats.gc_folded += folded;
+          }
+          if (const auto& o = store_.obs_; o && o->tracer && folded > 0) {
+            o->tracer->instant(w.track, obs::TraceEventKind::kGcFold,
+                               folded, op->gc_floor);
+          }
+          break;
+        }
+        case Op::Kind::kStop:
+          w.stopping = true;
+          break;
+      }
+      w.processed.fetch_add(1, std::memory_order_release);
+    }
+    return true;
   }
 
   Store& store_;
+  /// Unprocessed ring ops that justify waking a parked worker for a
+  /// plain update: the flush window (1 under adaptive windows).
+  std::size_t wake_backlog_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::uint64_t> tick_pos_;  ///< flush_all's op positions
   bool stopped_ = false;
 };
 

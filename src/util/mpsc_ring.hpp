@@ -4,9 +4,9 @@
 // any thread may stamp an update and route it, and the router fans
 // remote entries in from whichever thread holds the router lock) and
 // one worker thread (the single consumer: the owner of a disjoint set
-// of shard engines). Keeps spsc_ring.hpp's shape — bounded capacity,
-// try_push back-pressure on the producer side, never on the network
-// path — but admits concurrent producers via per-slot sequence numbers
+// of shard engines). Bounded capacity, power-of-two indexing,
+// try_push back-pressure on the producer side (never on the network
+// path), and concurrent producers via per-slot sequence numbers
 // (Vyukov's bounded-queue scheme):
 //
 //   * every slot carries an atomic sequence number; a producer claims

@@ -1,11 +1,10 @@
 // Worker-pool correctness: a pooled ThreadUcStore must be
 // indistinguishable, per key, from the single-owner store and from the
-// Sim transport. Four layers:
+// Sim transport. Five layers:
 //
-//  1. The rings themselves: SPSC (FIFO, wraparound, cross-thread
-//     handoff) and MPSC (per-producer FIFO under producer contention,
-//     back-pressure when full) — the MPSC per-producer guarantee is
-//     what read-your-writes and the stream guard lean on.
+//  1. The MPSC ring itself: FIFO, wraparound, per-producer FIFO under
+//     producer contention, back-pressure when full — the per-producer
+//     guarantee is what read-your-writes and the stream guard lean on.
 //  2. The shard→worker assignment: a pure function of key and config,
 //     disjoint across workers and stable across restarts — what lets a
 //     restarted process (or any replica of the config) route a key to
@@ -21,9 +20,18 @@
 //     single-producer and Sim runs, every thread must read its own
 //     writes through query(), and a driver thread may tick flush()
 //     *while* producers update (the honest-ack barrier at work).
+//  5. The idle policy: a parked worker is woken by plain updates only
+//     once a flush window waits, still applies a sub-window backlog on
+//     its own, and every sync op (get() fallback, flush(), quiesce())
+//     returns on it. Calls that hung in a past regression run under a
+//     deadline that fails the test process instead of hanging it.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -37,7 +45,6 @@
 #include "store/all.hpp"
 #include "util/mpsc_ring.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace ucw {
 namespace {
@@ -45,47 +52,8 @@ namespace {
 using S = SetAdt<int>;
 using TS = ThreadUcStore<S>;
 
-TEST(SpscRingTest, FifoAndWraparound) {
-  SpscRing<int> ring(8);
-  for (int round = 0; round < 5; ++round) {  // wraps the index mask
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(ring.try_push(round * 8 + i));
-    }
-    int overflow = 999;
-    EXPECT_FALSE(ring.try_push(std::move(overflow)));  // full: back-pressure
-    for (int i = 0; i < 8; ++i) {
-      auto v = ring.try_pop();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, round * 8 + i);
-    }
-    EXPECT_FALSE(ring.try_pop().has_value());
-    EXPECT_TRUE(ring.empty());
-  }
-}
-
-TEST(SpscRingTest, CrossThreadHandoffKeepsOrder) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kN = 20'000;
-  std::thread consumer([&] {
-    std::uint64_t expect = 0;
-    while (expect < kN) {
-      if (auto v = ring.try_pop()) {
-        ASSERT_EQ(*v, expect);
-        ++expect;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kN; ++i) {
-    std::uint64_t v = i;
-    while (!ring.try_push(std::move(v))) std::this_thread::yield();
-  }
-  consumer.join();
-}
-
 TEST(MpscRingTest, FifoAndBackpressureSingleProducer) {
-  // Degenerate single-producer use behaves like the SPSC ring.
+  // Degenerate single-producer use: plain FIFO with back-pressure.
   MpscRing<int> ring(8);
   for (int round = 0; round < 5; ++round) {  // wraps the slot sequences
     for (int i = 0; i < 8; ++i) {
@@ -697,6 +665,161 @@ TEST(MultiProducerTest, GetHonorsReadYourWritesViaTickets) {
   EXPECT_GT(s.ryw_ring_fallbacks, 0u);
   EXPECT_EQ(s.published_reads + s.ring_reads,
             static_cast<std::uint64_t>(kOps) + 1);
+  net.close_all();
+}
+
+// ----- the idle policy ------------------------------------------------
+
+/// Runs `fn` on another thread and ends the test process with a failure
+/// if it has not returned within `limit`: a deadlocked call must fail
+/// the suite, not hang it (its thread can be neither joined nor
+/// abandoned safely, so the process exits without unwinding).
+template <typename Fn>
+auto within_deadline(const char* what, Fn fn) {
+  constexpr auto kLimit = std::chrono::seconds(20);
+  auto result = std::async(std::launch::async, std::move(fn));
+  if (result.wait_for(kLimit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s did not return within 20 s: deadlock\n", what);
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  return result.get();
+}
+
+/// Polls until `store` has applied `n` distinct updates or `limit`
+/// passes; true when it got there.
+bool applied_within(const TS& store, std::uint64_t n,
+                    std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (store.applied_entries() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
+}
+
+TEST(WorkerPoolTest, PlainUpdatesWakeAParkedWorkerOncePerFlushWindow) {
+  ThreadNetwork<TS::Envelope> net(1);
+  StoreConfig cfg;
+  cfg.workers = 2;
+  cfg.shard_count = 8;
+  cfg.batch_window = 8;
+  constexpr std::uint64_t kWindow = 8;
+  TS store(S{}, 0, net, cfg);
+  // Keys all owned by worker 0, so every count below is one worker's.
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 16; ++i) {
+    std::string k = "k" + std::to_string(i);
+    if (store.worker_of(k) == 0) keys.push_back(std::move(k));
+  }
+  // stats() quiesces, and the quiesce wakes only a worker that is
+  // parked short of its target, so reading the count adds no wake
+  // once the updates read back as applied.
+  const auto wakes = [&] { return store.stats().worker_wakes; };
+  const auto park = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  int value = 0;
+  std::uint64_t issued = 0;
+
+  // window − 1 plain updates wake nobody, whatever state the worker is
+  // in: just active (round 0) or parked (round 1). They are applied
+  // anyway, with no flush and no read, once the park times out.
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) park();
+    const std::uint64_t before = wakes();
+    for (std::uint64_t i = 0; i + 1 < kWindow; ++i) {
+      store.update(keys[i % keys.size()], S::insert(value++));
+    }
+    issued += kWindow - 1;
+    EXPECT_TRUE(applied_within(store, issued, std::chrono::seconds(1)))
+        << "round " << round << ": a sub-window backlog was not applied";
+    EXPECT_EQ(wakes() - before, 0u) << "round " << round;
+  }
+
+  // The batch path follows the same policy.
+  {
+    park();
+    const std::uint64_t before = wakes();
+    std::vector<std::pair<std::string, S::Update>> batch;
+    for (std::uint64_t i = 0; i + 1 < kWindow; ++i) {
+      batch.emplace_back(keys[i % keys.size()], S::insert(value++));
+    }
+    (void)store.update_batch(batch);
+    issued += kWindow - 1;
+    EXPECT_TRUE(applied_within(store, issued, std::chrono::seconds(1)));
+    EXPECT_EQ(wakes() - before, 0u) << "sub-window batch";
+  }
+
+  // N updates cost at most ceil(N / window) wakes: as a burst, and
+  // paced so the worker parks between windows.
+  for (const bool paced : {false, true}) {
+    constexpr std::uint64_t kN = 20 * kWindow + 3;
+    const std::uint64_t before = wakes();
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      if (paced && i % kWindow == 0) park();
+      store.update(keys[i % keys.size()], S::insert(value++));
+    }
+    issued += kN;
+    EXPECT_TRUE(applied_within(store, issued, std::chrono::seconds(1)));
+    EXPECT_LE(wakes() - before, (kN + kWindow - 1) / kWindow)
+        << (paced ? "paced" : "burst");
+  }
+
+  // Sync ops on a parked worker wake it and return, each behind a
+  // sub-window update the worker has not been woken for.
+  park();
+  store.update(keys[0], S::insert(value));
+  const auto got = within_deadline(
+      "get() on a parked worker", [&] { return store.get(keys[0], S::read()); });
+  EXPECT_TRUE(got.count(value)) << "get() missed its own write";
+  ++value;
+  park();
+  store.update(keys[1], S::insert(value++));
+  EXPECT_GE(within_deadline("flush() on a parked worker",
+                            [&] { return store.flush(); }),
+            1u);
+  park();
+  store.update(keys[2], S::insert(value++));
+  EXPECT_EQ(within_deadline("quiesce() on a parked worker",
+                            [&] { return store.pending(); }),
+            1u);
+  const StoreStats s = store.stats();
+  EXPECT_GT(s.worker_parks, 0u);
+  EXPECT_EQ(s.local_updates, issued + 3);
+  net.close_all();
+}
+
+TEST(WorkerPoolTest, FlushDeliversAFullDutyRingWithoutDeadlock) {
+  // More envelopes than the duty ring holds (4096) reach a pooled store
+  // at once: a hold partition buffers them, the heal releases them all.
+  // flush() must deliver them without holding the router lock, because
+  // a full duty ring makes the delivery path take that lock to drain
+  // it. Delivering under the lock spun on it forever.
+  ThreadNetwork<TS::Envelope> net(2);
+  StoreConfig pooled;
+  pooled.workers = 2;
+  pooled.shard_count = 8;
+  TS a(S{}, 0, net, pooled);
+  StoreConfig unbatched;
+  unbatched.batch_window = 1;  // one envelope per update
+  TS b(S{}, 1, net, unbatched);
+  constexpr int kEnvelopes = 5000;
+  net.partition({0, 1});
+  for (int i = 0; i < kEnvelopes; ++i) {
+    b.update("k" + std::to_string(i % 32), S::insert(i));
+  }
+  EXPECT_GE(net.held_messages(), static_cast<std::size_t>(kEnvelopes));
+  net.heal();
+  (void)within_deadline("flush() over a full duty ring",
+                        [&] { return a.flush(); });
+  a.drain_until(kEnvelopes);
+  EXPECT_EQ(a.stats().inbox_deliveries,
+            static_cast<std::uint64_t>(kEnvelopes));
+  for (int k = 0; k < 32; ++k) {
+    const std::string key = "k" + std::to_string(k);
+    EXPECT_EQ(a.state_of(key), b.state_of(key)) << key;
+  }
   net.close_all();
 }
 
