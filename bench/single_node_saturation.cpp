@@ -1,7 +1,7 @@
-// E14 — single-node saturation: what the frontend rework buys when one
-// box runs producers and workers flat out.
+// E14 — single-node saturation: the pooled frontend when one box runs
+// producers and workers flat out.
 //
-// Three arms over a `--workers=` sweep (default 1,2,4) at a fixed
+// Two arms over a `--workers=` sweep (default 1,2,4) at a fixed
 // `--producers=` client-thread count (default 4), 2 processes on the
 // thread transport, a mixed read/write workload over 512 zipfian keys:
 // per process, all client threads but one issue set inserts while the
@@ -10,22 +10,14 @@
 // frontend actually runs them (read-serving threads segregated from
 // writers):
 //
-//   router-locked   StoreConfig::router_delivery — the pre-rework
-//                   frontend on the same binary: inbound envelopes fan
-//                   out to worker rings UNDER the router mutex, workers
-//                   pop one op per loop, and published get()s copy the
-//                   state out of the seqlock before answering.
-//   sharded         the default path: delivery partitions envelope
-//                   entries straight into the owning workers' remote
-//                   inboxes (a shard-index computation plus one multi-
-//                   slot ring claim per worker — no lock, no copies),
-//                   workers drain in blocks, and get() on a published
-//                   key answers from the immutable shared snapshot
-//                   (zero state copies — SetAdt makes that visible:
-//                   the pre-rework path copies the whole node-based
-//                   std::set out of the seqlock first). pin_workers is
-//                   set, exercising the opt-in affinity knob wherever
-//                   this bench runs.
+//   sharded         delivery partitions envelope entries straight into
+//                   the owning workers' remote inboxes (a shard-index
+//                   computation plus one multi-slot ring claim per
+//                   worker — no lock, no copies), workers drain in
+//                   blocks, and get() on a published key answers from
+//                   the immutable shared snapshot (zero state copies).
+//                   pin_workers is set, exercising the opt-in affinity
+//                   knob wherever this bench runs.
 //   sharded+batch   sharded plus update_batch(): producers hand the
 //                   frontend 16 updates per call and each worker's
 //                   group lands with one multi-slot ring CAS.
@@ -34,11 +26,11 @@
 // get() latency (p50/p99 over 20k post-drain samples), and ring CAS
 // per update (singles pay one claim CAS each; a multi-slot claim
 // amortizes one over the group — computed from the
-// ring_batch_claims/ring_batch_ops counters). The headline number is
-// the best sharded arm : router-locked ops/sec ratio at the largest
-// worker count — the ISSUE acceptance bar is >= 1.3x with 4 workers +
-// 4 producers. On a 1-core host the win is shed lock/CAS/copy work,
-// not parallelism (the table prints the detected core count).
+// ring_batch_claims/ring_batch_ops counters). The table prints the
+// detected core count: on few cores the pool buys shed lock/CAS/copy
+// work, not parallelism. Numbers for the router-locked delivery arm,
+// since removed from the store, are in BENCH_e14_router_arm.json at the
+// repository root.
 //
 // `--json-out=` writes the machine-readable twin (BENCH_e14.json in
 // CI); `--metrics-out=` exports a sharded run's metrics snapshot for
@@ -89,17 +81,15 @@ struct ArmResult {
 
 ArmResult run_arm(const std::string& arm, std::size_t workers,
                   std::size_t producers, std::size_t ops_per_process,
-                  bool router_delivery, bool batched,
-                  const std::string& metrics_out = {}) {
+                  bool batched, const std::string& metrics_out = {}) {
   ThreadNetwork<TC::Envelope> net(kProcs);
   StoreConfig cfg;
   cfg.workers = workers;
   cfg.batch_window = 64;
   cfg.shard_count = 16;
-  cfg.router_delivery = router_delivery;
-  // The sharded arms run with affinity pinning on, so the opt-in knob
-  // is exercised by every CI smoke run (a no-op where it cannot bind).
-  cfg.pin_workers = !router_delivery;
+  // Affinity pinning on, so the opt-in knob is exercised by every CI
+  // smoke run (a no-op where it cannot bind).
+  cfg.pin_workers = true;
   std::vector<std::unique_ptr<TC>> stores;
   for (ProcessId p = 0; p < kProcs; ++p) {
     stores.push_back(std::make_unique<TC>(S{}, p, net, cfg));
@@ -117,8 +107,8 @@ ArmResult run_arm(const std::string& arm, std::size_t workers,
       // updates pays the read-your-writes ring fallback on nearly
       // every read when the box has fewer cores than threads (its
       // ticket is always ahead of the worker); that cost is identical
-      // in every arm and would bury the delivery/read-path
-      // differential this bench exists to price. The RYW fallback
+      // in every arm and would bury the delivery/read-path costs
+      // this bench exists to price. The RYW fallback
       // path has its own coverage in thread_store_test.
       const bool reader = workers > 1 && producers > 1 &&
                           c == producers - 1;
@@ -190,8 +180,7 @@ ArmResult run_arm(const std::string& arm, std::size_t workers,
   if (!any_nonempty) r.converged = false;
 
   // Hot-key read latency, measured post-drain so the samples time the
-  // read path itself: one output copy on the sharded arms, seqlock
-  // copy-out *plus* the output copy on the comparison arm.
+  // read path itself: one output copy from the published snapshot.
   const std::string hot = ZipfianKeys::key_name(0);
   (void)stores[0]->get(hot, S::read());  // cold get: promotes the key
   bench::LatencySummary get_ns;
@@ -208,7 +197,6 @@ ArmResult run_arm(const std::string& arm, std::size_t workers,
     const StoreStats ss = s->stats();
     r.stats.local_updates += ss.local_updates;
     r.stats.inbox_deliveries += ss.inbox_deliveries;
-    r.stats.router_deliveries += ss.router_deliveries;
     r.stats.ring_batch_claims += ss.ring_batch_claims;
     r.stats.ring_batch_ops += ss.ring_batch_ops;
     r.stats.zero_copy_reads += ss.zero_copy_reads;
@@ -251,8 +239,6 @@ void append_json_arm(std::string& out, const ArmResult& r, bool last) {
   out += ", \"ring_cas_per_update\": " + std::to_string(r.cas_per_update);
   out += ", \"inbox_deliveries\": " +
          std::to_string(r.stats.inbox_deliveries);
-  out += ", \"router_deliveries\": " +
-         std::to_string(r.stats.router_deliveries);
   out += ", \"ring_batch_claims\": " +
          std::to_string(r.stats.ring_batch_claims);
   out += ", \"ring_batch_ops\": " + std::to_string(r.stats.ring_batch_ops);
@@ -281,41 +267,36 @@ bool run_saturation_sweep(const std::vector<std::size_t>& worker_counts,
                    "window 64; batch arm = 16 updates/call)");
   std::cout << "hardware threads detected: "
             << std::thread::hardware_concurrency()
-            << " (on few cores the sharded win is shed lock/CAS/copy "
+            << " (on few cores the pool buys shed lock/CAS/copy "
                "work, not parallelism)\n";
   TextTable t({"workers", "producers", "arm", "updates", "gets",
                "best wall ms", "ops/sec", "get p50 ns", "get p99 ns",
-               "CAS/update", "router dlvr", "inbox dlvr", "parks", "wakes",
-               "converged"});
+               "CAS/update", "inbox dlvr", "parks", "wakes", "converged"});
   std::vector<ArmResult> results;
   bool all_converged = true;
-  double router_at_max = 0.0, sharded_at_max = 0.0;
   const std::size_t max_workers =
       *std::max_element(worker_counts.begin(), worker_counts.end());
   constexpr int kReps = 3;  // best-of, arms interleaved per rep —
                             // scheduler noise must not read as speedup
+  constexpr int kArms = 2;
   (void)run_arm("warmup", max_workers, producers, ops_per_process,
-                /*router_delivery=*/false, /*batched=*/false);
+                /*batched=*/false);
   for (std::size_t w : worker_counts) {
     // workers <= 1 runs the unpooled single-owner store, which admits
     // exactly one client thread — the point is kept in the sweep as
     // the no-frontend baseline, clamped to 1 producer.
     const std::size_t prod = w > 1 ? producers : 1;
-    std::vector<ArmResult> best(3);
+    std::vector<ArmResult> best(kArms);
     for (int rep = 0; rep < kReps; ++rep) {
-      for (int arm = 0; arm < 3; ++arm) {
-        const bool router = arm == 0;
-        const bool batched = arm == 2;
-        const char* name = router        ? "router-locked"
-                           : batched     ? "sharded+batch"
-                                         : "sharded";
+      for (int arm = 0; arm < kArms; ++arm) {
+        const bool batched = arm == 1;
+        const char* name = batched ? "sharded+batch" : "sharded";
         // The last batched rep at the top worker count exports the
         // metrics snapshot CI validates.
         const bool exports =
             batched && w == max_workers && rep == kReps - 1;
-        ArmResult r =
-            run_arm(name, w, prod, ops_per_process, router, batched,
-                    exports ? metrics_out : std::string{});
+        ArmResult r = run_arm(name, w, prod, ops_per_process, batched,
+                              exports ? metrics_out : std::string{});
         all_converged = all_converged && r.converged;
         if (!r.converged) best[arm].converged = false;
         if (best[arm].updates == 0 ||
@@ -327,36 +308,15 @@ bool run_saturation_sweep(const std::vector<std::size_t>& worker_counts,
         }
       }
     }
-    for (int arm = 0; arm < 3; ++arm) {
-      const ArmResult& r = best[arm];
-      if (w == max_workers) {
-        if (arm == 0) router_at_max = r.ops_per_sec;
-        if (arm != 0) {
-          sharded_at_max = std::max(sharded_at_max, r.ops_per_sec);
-        }
-      }
+    for (const ArmResult& r : best) {
       t.add(w, prod, r.arm, r.updates, r.gets, r.wall_seconds * 1e3,
             r.ops_per_sec, r.get_p50_ns, r.get_p99_ns, r.cas_per_update,
-            r.stats.router_deliveries, r.stats.inbox_deliveries,
-            r.stats.worker_parks, r.stats.worker_wakes,
-            r.converged ? "yes" : "NO");
+            r.stats.inbox_deliveries, r.stats.worker_parks,
+            r.stats.worker_wakes, r.converged ? "yes" : "NO");
       results.push_back(r);
     }
   }
   t.print(std::cout);
-  const double factor =
-      router_at_max > 0 ? sharded_at_max / router_at_max : 0.0;
-  std::cout << "\nbest sharded vs router-locked at " << max_workers
-            << " workers: " << factor
-            << "x (acceptance bar: >= 1.3x at 4 workers + 4 producers)\n"
-            << "The rework removes per-op router locking (entries shard "
-               "straight into worker inboxes; the router keeps its "
-               "stability/GC duties via constant-size duty notes), "
-               "amortizes ring CASes over multi-slot claims and block "
-               "drains, and answers published get()s from the immutable "
-               "shared snapshot instead of copying the state out of the "
-               "seqlock — the CAS/update, get-latency, and "
-               "delivery-counter columns show each effect directly.\n";
   if (!json_out.empty()) {
     std::string j = "{\n  \"experiment\": \"E14\",\n";
     j += "  \"producers\": " + std::to_string(producers) + ",\n";
@@ -364,9 +324,6 @@ bool run_saturation_sweep(const std::vector<std::size_t>& worker_counts,
          ",\n";
     j += "  \"hardware_threads\": " +
          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-    j += "  \"sharded_vs_router_at_max_workers\": " +
-         std::to_string(factor) + ",\n";
-    j += "  \"acceptance_factor\": 1.3,\n";
     j += "  \"arms\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       append_json_arm(j, results[i], i + 1 == results.size());

@@ -19,7 +19,6 @@
 
 #include "core/all.hpp"
 #include "net/thread_network.hpp"
-#include "util/stats.hpp"
 
 namespace {
 

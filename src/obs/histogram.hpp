@@ -4,8 +4,8 @@
 //
 //  * LatencySummary — exact. Keeps every sample, sorts lazily, reports
 //    nearest-rank percentiles with linear interpolation. This is the
-//    type behind `StatsAccumulator` and the bench latency tables; fine
-//    at harness sample counts (≤ a few million).
+//    type behind the bench latency tables; fine at harness sample
+//    counts (≤ a few million).
 //  * LogHistogram — fixed footprint, wait-free. 65 power-of-two
 //    buckets of relaxed atomics, so any thread (workers, the router,
 //    clients) can record into one histogram without coordination.

@@ -506,7 +506,6 @@ void fill_registry(MetricsRegistry& reg, const ProcessReport& proc) {
   c("published_reads", s.published_reads);
   c("ring_reads", s.ring_reads);
   c("inbox_deliveries", s.inbox_deliveries);
-  c("router_deliveries", s.router_deliveries);
   c("ring_batch_claims", s.ring_batch_claims);
   c("ring_batch_ops", s.ring_batch_ops);
   c("zero_copy_reads", s.zero_copy_reads);

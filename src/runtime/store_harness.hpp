@@ -134,8 +134,8 @@ struct StoreRunOutput {
   NetworkStats net;
   std::vector<StoreStats> store_stats;        ///< per process
   /// Per process, per shard engine — exposes the per-engine view
-  /// (chosen adaptive batch window, GC folds, resident log) the
-  /// aggregate StoreStats rows flatten away.
+  /// (published views, GC folds, resident log) the aggregate StoreStats
+  /// rows flatten away.
   std::vector<std::vector<ShardStats>> shard_stats;
   std::uint64_t total_updates = 0;
   std::uint64_t total_queries = 0;

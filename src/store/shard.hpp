@@ -30,8 +30,6 @@ class Tracer;  // see obs/trace.hpp; StoreConfig carries only a pointer
 struct StoreConfig {
   std::size_t shard_count = 16;
   /// Keyed updates buffered before an automatic flush; 1 = unbatched.
-  /// With `adaptive_window` this is the *cap* the per-engine windows
-  /// adapt under.
   std::size_t batch_window = 8;
   /// Worker threads a pooled ThreadUcStore spreads its shard engines
   /// across (shard → worker by index modulo workers, so the assignment
@@ -45,21 +43,6 @@ struct StoreConfig {
   /// cap is a programming error and CHECK-fails. Irrelevant unpooled
   /// (workers == 1 keeps the classic one-owner-thread contract).
   std::size_t max_producers = 64;
-  /// Nagle-style adaptive batch windows: each shard engine sizes its
-  /// flush window from an EWMA of the updates it observed per flush
-  /// tick, clamped to [1, batch_window]. The flush tick is the latency
-  /// bound — a window larger than one tick's traffic cannot fill before
-  /// the tick ships it anyway, so a cold engine shrinks toward 1 (its
-  /// lone update ships immediately instead of waiting out the tick)
-  /// while a hot engine grows back toward the cap.
-  bool adaptive_window = false;
-  /// Shard engines folded per GC sweep — the incremental cursor that
-  /// replaces the O(all keys) walk: each flush tick folds at most this
-  /// many *dirty* engines (engines holding entries at or below the
-  /// stability floor), resuming round-robin where the last sweep
-  /// stopped. 0 = fold every dirty engine each sweep. Clean engines are
-  /// skipped in O(1) either way.
-  std::size_t gc_engines_per_sweep = 0;
   ReplayPolicy policy = ReplayPolicy::CachedPrefix;
   std::size_t snapshot_interval = 64;
   /// Store-level stability tracking + log compaction: folds the
@@ -87,33 +70,19 @@ struct StoreConfig {
   /// Gap-triggered anti-entropy on the flush tick: a sender's stream
   /// with a detected gap (drop-mode partition) that is reachable and
   /// alive gets one anti_entropy_round() pull, re-issued every
-  /// `ae_patience_ticks` ticks until the round completes and clears the
-  /// gap. This is what makes a heal self-repairing: envelopes still in
-  /// flight *inside* a group when the heal-time exchange served are
-  /// caught by the next tick's pull from their origin, instead of
+  /// StoreCore::kAePatienceTicks ticks until the round completes and
+  /// clears the gap. This is what makes a heal self-repairing: envelopes
+  /// still in flight *inside* a group when the heal-time exchange served
+  /// are caught by the next tick's pull from their origin, instead of
   /// leaking as permanent divergence. Off = anti-entropy only when the
   /// application calls anti_entropy_round() itself.
   bool auto_anti_entropy = true;
-  /// Like sync_patience_ticks: must exceed the request → last-delta
-  /// round trip in flush ticks, or rounds are superseded before they
-  /// can complete.
-  std::size_t ae_patience_ticks = 6;
   /// Opt-in core affinity: worker w of a pooled ThreadUcStore pins
   /// itself to core w mod hardware_concurrency() on startup (Linux
   /// only; a no-op hint elsewhere — see util/affinity.hpp). Producer
   /// threads belong to the application and pin themselves via
   /// pin_current_thread_to_core() when they care.
   bool pin_workers = false;
-  /// COMPARISON ARM: restore the pre-saturation-rework frontend on the
-  /// same binary — remote envelopes fanned out to worker rings by
-  /// whichever thread holds the router lock (instead of sharded
-  /// straight into per-worker remote inboxes with no lock), workers
-  /// popping one op per loop (instead of block drains), and published
-  /// get()s copying the state out of the seqlock (instead of answering
-  /// from the immutable shared snapshot). Kept so the E14 saturation
-  /// bench can price the rework end to end; not intended for
-  /// production use.
-  bool router_delivery = false;
 
   // ----- observability (src/obs/) --------------------------------------
   /// Master switch for the tracing + derived-metrics hooks. Always
@@ -146,10 +115,6 @@ struct StoreConfig {
 /// store_stats.hpp).
 struct ShardStats {
   std::size_t keys_live = 0;         ///< replicas instantiated
-  /// The engine's current flush window (== StoreConfig::batch_window
-  /// unless adaptive windows chose a smaller one). 0 when the stats
-  /// come from a bare StoreShard with no engine above it.
-  std::size_t batch_window = 0;
   std::uint64_t local_updates = 0;   ///< across all keys in the shard
   std::uint64_t remote_updates = 0;
   std::uint64_t duplicate_updates = 0;

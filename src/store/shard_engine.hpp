@@ -3,10 +3,10 @@
 // Algorithm 1's wait-freedom means per-key replicas never coordinate,
 // and nothing in update consistency arbitrates across keys — shards are
 // embarrassingly parallel. The engine is the unit that exploits that:
-// it owns the shard's key→replica map, its batch buffer and flush
-// window, its slice of the GC fold, and snapshot serve/install for its
-// keys. One *owner* (the Sim store's single thread, or one worker of a
-// ThreadUcStore pool) drives an engine at a time; the only state shared
+// it owns the shard's key→replica map, its batch buffer, its slice of
+// the GC fold, and snapshot serve/install for its keys. One *owner*
+// (the Sim store's single thread, or one worker of a ThreadUcStore
+// pool) drives an engine at a time; the only state shared
 // across owners is the atomic store clock the replicas stamp from, two
 // relaxed mirror counters (pending size, distinct applies) that other
 // threads may read, and the router-held stability tracker the engine
@@ -17,10 +17,6 @@
 // The engine also hosts the two per-shard optimizations the monolithic
 // StoreCore could not express:
 //
-//   * adaptive batch windows — a Nagle-style EWMA of updates observed
-//     per flush tick sizes the window under the configured cap, so a
-//     cold shard ships its lone update immediately instead of waiting
-//     out the tick while a hot shard batches to the cap;
 //   * the GC dirty cursor — the engine tracks the minimum stamp of any
 //     entry it holds that has not been folded, so a sweep can skip
 //     clean engines in O(1) instead of walking every key of the store;
@@ -76,9 +72,6 @@ class ShardEngine {
               const typename ReplayReplica<A>::Config& rep_cfg)
       : adt_(adt),
         index_(index),
-        window_(config.batch_window),
-        window_cap_(config.batch_window),
-        adaptive_(config.adaptive_window),
         fault_(config.fault),
         shard_(adt, pid, rep_cfg) {}
 
@@ -99,7 +92,6 @@ class ShardEngine {
     auto& rep = shard_.replica(key);
     rep.apply_local(msg);
     ++local_updates_;
-    ++updates_this_tick_;
     pending_.push_back(Entry{key, std::move(msg)});
     pending_count_.store(pending_.size(), std::memory_order_relaxed);
     applied_distinct_.fetch_add(1, std::memory_order_release);
@@ -189,11 +181,6 @@ class ShardEngine {
     return pending_count_.load(std::memory_order_relaxed);
   }
 
-  /// Whether this engine's buffer reached its (possibly adapted) window.
-  [[nodiscard]] bool window_filled() const {
-    return pending_.size() >= window_;
-  }
-
   /// Moves the buffered entries into `out` (envelope assembly — the
   /// flush owner carpools every engine it owns into one envelope).
   void drain_pending(std::vector<Entry>& out) {
@@ -210,24 +197,11 @@ class ShardEngine {
     return n;
   }
 
-  /// Flush tick: re-sizes the adaptive window from the updates observed
-  /// since the last tick (EWMA, clamped to [1, cap]; the tick period is
-  /// the implicit latency bound).
+  /// Flush tick: lists views promoted since the last registry publish
+  /// (the bounded-staleness half of promote()'s schedule).
   void on_flush_tick() {
     if (pending_promotions_ > 0) republish_registry();
-    if (adaptive_) {
-      const double observed = static_cast<double>(updates_this_tick_);
-      ewma_per_tick_ = ewma_per_tick_ < 0.0
-                           ? observed
-                           : 0.75 * ewma_per_tick_ + 0.25 * observed;
-      const auto target =
-          static_cast<std::size_t>(ewma_per_tick_ + 0.5);
-      window_ = target < 1 ? 1 : (target > window_cap_ ? window_cap_ : target);
-    }
-    updates_this_tick_ = 0;
   }
-
-  [[nodiscard]] std::size_t window() const { return window_; }
 
   // ----- GC (store-wide floor, engine-local fold) ----------------------
 
@@ -363,7 +337,6 @@ class ShardEngine {
 
   [[nodiscard]] ShardStats stats() const {
     ShardStats s = shard_.stats();
-    s.batch_window = window_;
     s.published_keys = views_owner_.size();
     s.view_registry_publishes = registry_publishes_;
     s.view_registry_keys_copied = registry_keys_copied_;
@@ -437,12 +410,7 @@ class ShardEngine {
 
   A adt_;
   std::size_t index_;
-  std::size_t window_;      ///< current flush window (adapted)
-  std::size_t window_cap_;  ///< == StoreConfig::batch_window
-  bool adaptive_;
   FaultSpec fault_;  ///< mutation-corpus switch (src/faults/)
-  double ewma_per_tick_ = -1.0;  ///< updates/tick EWMA; <0 = unseeded
-  std::uint64_t updates_this_tick_ = 0;
   Shard shard_;
   std::vector<Entry> pending_;
   std::atomic<std::size_t> pending_count_{0};

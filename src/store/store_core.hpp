@@ -237,13 +237,10 @@ class StoreCore {
                             stamp.clock);
     }
     if (recorder_) recorder_->record_update(0, key, stamp, u);
-    Engine& eng = engine_of(key);
-    eng.local_update(key, UpdateMessage<A>{stamp, std::move(u), {}});
-    ++pending_total_;
-    const bool full = config_.adaptive_window
-                          ? eng.window_filled()
-                          : pending_total_ >= config_.batch_window;
-    if (full) flush_now(FlushCause::kWindowFull);
+    engine_of(key).local_update(key, UpdateMessage<A>{stamp, std::move(u), {}});
+    if (++pending_total_ >= config_.batch_window) {
+      flush_now(FlushCause::kWindowFull);
+    }
     return stamp;
   }
 
@@ -282,11 +279,11 @@ class StoreCore {
   }
 
   /// Ships the pending batch, if any, then runs the recovery tick:
-  /// re-size adaptive windows, piggyback/heartbeat the stability ack,
-  /// fold the stable prefix across the dirty engines, and retry a
-  /// stalled catch-up. Returns entries flushed (dropped-on-crash entries
-  /// are not "flushed"). Never waits on receivers — the cost is the
-  /// per-peer enqueue. Owner thread; shadowed pooled.
+  /// piggyback/heartbeat the stability ack, fold the stable prefix
+  /// across the dirty engines, and retry a stalled catch-up. Returns
+  /// entries flushed (dropped-on-crash entries are not "flushed").
+  /// Never waits on receivers — the cost is the per-peer enqueue. Owner
+  /// thread; shadowed pooled.
   std::size_t flush() {
     for (auto& e : engines_) e->on_flush_tick();
     const std::size_t flushed = flush_now(FlushCause::kManual);
@@ -312,16 +309,15 @@ class StoreCore {
 
   /// Pushes the store-wide stability floor down into the engines
   /// (Section VII-C fold, hoisted to store level). Runs on the flush
-  /// tick; callable directly. Incremental: each sweep folds at most
-  /// `gc_engines_per_sweep` *dirty* engines (clean ones are skipped in
-  /// O(1) via the engine's min-unfolded cursor), resuming round-robin
-  /// where the previous sweep stopped. Returns entries folded. Owner
-  /// thread — it touches engine state; the pooled flush instead splits
-  /// this into the router-side floor refresh and worker-side folds.
+  /// tick; callable directly. Folds every *dirty* engine (clean ones
+  /// are skipped in O(1) via the engine's min-unfolded cursor). Returns
+  /// entries folded. Owner thread — it touches engine state; the pooled
+  /// flush instead splits this into the router-side floor refresh and
+  /// worker-side folds.
   std::size_t collect_garbage() {
     const LogicalTime floor = refresh_stability_floor(clock_.now());
     if (floor == 0) return 0;
-    return gc_sweep(floor, config_.gc_engines_per_sweep);
+    return fold_engines(engine_ptrs_, floor, stats_);
   }
 
   // ----- recovery: catch-up protocol -----------------------------------
@@ -510,6 +506,12 @@ class StoreCore {
 
   enum class FlushCause { kWindowFull, kManual };
 
+  /// Flush ticks an anti-entropy round may stay open before
+  /// ae_housekeeping re-issues it. Like sync_patience_ticks, it must
+  /// exceed the request → last-delta round trip in flush ticks, or
+  /// rounds are superseded before they can complete.
+  static constexpr std::size_t kAePatienceTicks = 6;
+
   [[nodiscard]] Engine& engine(std::size_t i) { return *engines_[i]; }
   [[nodiscard]] Engine& engine_of(const Key& key) {
     return *engines_[shard_index(key)];
@@ -648,29 +650,84 @@ class StoreCore {
     return gc_floor_;
   }
 
-  /// The incremental GC sweep: fold up to `budget` dirty engines to
-  /// `floor`, round-robin from the cursor. 0 = every dirty engine.
-  std::size_t gc_sweep(LogicalTime floor, std::size_t budget) {
-    const std::size_t n = engines_.size();
-    if (budget == 0 || budget > n) budget = n;
+  /// The GC fold: every dirty engine of `engines` — all of them on the
+  /// single-owner path, one worker's subset in a pool — folds to
+  /// `floor`, charging `st` (the router's stats, or the worker's slice)
+  /// and attributing the gc_fold event to `track`. Clean engines cost
+  /// one comparison each.
+  std::size_t fold_engines(const std::vector<Engine*>& engines,
+                           LogicalTime floor, StoreStats& st,
+                           std::uint16_t track = 0) {
     std::size_t folded = 0;
-    std::size_t visited = 0;
-    std::size_t step = 0;
-    for (; step < n && visited < budget; ++step) {
-      Engine& e = *engines_[(gc_cursor_ + step) % n];
-      if (!e.gc_pending(floor)) continue;
-      folded += e.fold_to(floor);
-      ++visited;
+    bool any = false;
+    for (Engine* e : engines) {
+      if (!e->gc_pending(floor)) continue;
+      folded += e->fold_to(floor);
+      any = true;
     }
-    gc_cursor_ = (gc_cursor_ + step) % n;
-    if (visited > 0) {
-      ++stats_.gc_runs;
-      stats_.gc_folded += folded;
+    if (any) {
+      ++st.gc_runs;
+      st.gc_folded += folded;
     }
     if (obs_ && obs_->tracer && folded > 0) {
-      obs_->tracer->instant(0, obs::TraceEventKind::kGcFold, folded, floor);
+      obs_->tracer->instant(track, obs::TraceEventKind::kGcFold, folded,
+                            floor);
     }
     return folded;
+  }
+
+  /// Delivery-side observability for one batch envelope's entries, on
+  /// both delivery paths: the deliver event and the sampled
+  /// replication-lag record — origin Lamport stamp vs the local clock
+  /// at delivery, clamped at 0 (a stamp ahead of this clock is about to
+  /// advance it — the update arrived "early", not late). Sampled like
+  /// the other per-op hooks: a 1-in-N stamp-keyed sample keeps the
+  /// histogram representative at a fraction of the per-entry cost (3
+  /// atomic RMWs), which is what holds the tracing-on overhead inside
+  /// the E10e budget. `applied_here` (the single-owner path, which
+  /// applies the entries on this thread) also emits each sampled
+  /// entry's apply_remote event on track 0; pool workers emit their
+  /// own. Any thread: tracer rings are multi-writer and the histogram
+  /// is atomic.
+  void observe_delivery(ProcessId from, const std::vector<Entry>& entries,
+                        bool applied_here) {
+    if (!obs_ || entries.empty()) return;
+    if (obs_->tracer) {
+      obs_->tracer->instant(0, obs::TraceEventKind::kDeliver, from,
+                            entries.size());
+    }
+    const LogicalTime now = clock_.now();
+    for (const Entry& entry : entries) {
+      const LogicalTime sc = entry.msg.stamp.clock;
+      if (!obs_->sampled(sc)) continue;
+      const std::uint64_t lag = now > sc ? now - sc : 0;
+      obs_->replication_lag.record(lag);
+      if (applied_here && obs_->tracer) {
+        obs_->tracer->instant(0, obs::TraceEventKind::kApplyRemote, sc, lag);
+      }
+    }
+  }
+
+  /// Feeds a delivered envelope's piggybacked ack into stability, on
+  /// both delivery paths (the pooled one calls it from the router's
+  /// duty drain). A gapped stream's ack proves nothing: under FIFO
+  /// *with drops*, holding an envelope that carries ack clock t no
+  /// longer implies holding everything the sender stamped below t — the
+  /// partition may have discarded some of it, and anti-entropy will
+  /// deliver it later as genuinely-new below-floor entries. Observing
+  /// such an ack would let GC fold over them. The gap clears (and acks
+  /// resume) when an anti-entropy round or a catch-up session proves
+  /// the prefix.
+  void observe_ack(ProcessId from, LogicalTime ack_clock) {
+    if (!stability_ || ack_clock == 0) return;
+    // FAULT kFoldAcksAcrossGaps (the mutation corpus's founding member):
+    // folding over a known gap lets GC absorb the floor past entries
+    // anti-entropy has yet to redeliver, which the offline auditor must
+    // catch as divergence.
+    if (stream_gapped(from) && !config_.fault.is(Fault::kFoldAcksAcrossGaps)) {
+      return;
+    }
+    stability_->observe_ack(from, ack_clock);
   }
 
   void deliver(ProcessId from, const Envelope& e) {
@@ -697,49 +754,11 @@ class StoreCore {
         break;
     }
     note_stream(from, e);
-    if (obs_ && !e.entries.empty()) {
-      if (obs_->tracer) {
-        obs_->tracer->instant(0, obs::TraceEventKind::kDeliver, from,
-                              e.entries.size());
-      }
-      // Replication lag: origin Lamport stamp vs the local clock at the
-      // moment of apply, clamped at 0 (a stamp ahead of this clock is
-      // about to advance it — the update arrived "early", not late).
-      // Sampled like the other per-op hooks: a 1-in-N stamp-keyed
-      // sample keeps the histogram representative at a fraction of the
-      // per-entry cost (3 atomic RMWs), which is what holds the
-      // tracing-on overhead inside the E10e budget.
-      const LogicalTime now = clock_.now();
-      for (const Entry& entry : e.entries) {
-        const LogicalTime sc = entry.msg.stamp.clock;
-        if (!obs_->sampled(sc)) continue;
-        const std::uint64_t lag = now > sc ? now - sc : 0;
-        obs_->replication_lag.record(lag);
-        if (obs_->tracer) {
-          obs_->tracer->instant(0, obs::TraceEventKind::kApplyRemote, sc,
-                                lag);
-        }
-      }
-    }
+    observe_delivery(from, e.entries, /*applied_here=*/true);
     for (const Entry& entry : e.entries) {
       (void)engine_of(entry.key).apply_remote(from, entry.key, entry.msg);
     }
-    // A gapped stream's ack proves nothing: under FIFO *with drops*,
-    // holding an envelope that carries ack clock t no longer implies
-    // holding everything the sender stamped below t — the partition may
-    // have discarded some of it, and anti-entropy will deliver it later
-    // as genuinely-new below-floor entries. Observing such an ack would
-    // let GC fold over them. The gap clears (and acks resume) when an
-    // anti-entropy round or a catch-up session proves the prefix.
-    // FAULT kFoldAcksAcrossGaps (the mutation corpus's founding member):
-    // folding over a known gap lets GC absorb the floor past entries
-    // anti-entropy has yet to redeliver, which the offline auditor must
-    // catch as divergence.
-    if (stability_ && e.ack_clock > 0 &&
-        (config_.fault.is(Fault::kFoldAcksAcrossGaps) ||
-         !(from < peers_.size() && peers_[from].gapped))) {
-      stability_->observe_ack(from, e.ack_clock);
-    }
+    observe_ack(from, e.ack_clock);
   }
 
   // ----- recovery internals --------------------------------------------
@@ -810,12 +829,10 @@ class StoreCore {
                       std::uint64_t markers_epoch,
                       const std::vector<LogicalTime>& requester_floors = {}) {
     if constexpr (kCatchupCapable) {
-      // Snapshots ship base + unstable suffix: compact first, and fold
-      // *every* dirty engine regardless of the incremental budget — a
-      // half-folded engine would ship already-stable entries in its
-      // suffix and re-inflate the receiver's install cost.
+      // Snapshots ship base + unstable suffix: compact first — an
+      // unfolded engine would ship already-stable entries in its suffix
+      // and re-inflate the receiver's install cost.
       (void)collect_garbage();
-      if (gc_floor_ > 0) (void)gc_sweep(gc_floor_, 0);
       const bool deltas = config_.incremental_snapshots &&
                           markers_epoch == epoch_ &&
                           markers.size() == engines_.size();
@@ -1164,7 +1181,7 @@ class StoreCore {
   /// already mid-round — gets a pull from its origin (which trivially
   /// holds its own entries, so origin-alive gaps always close). A round
   /// whose messages were lost (re-split mid-exchange, crashed peer) is
-  /// re-issued after `ae_patience_ticks` ticks rather than wedging.
+  /// re-issued after kAePatienceTicks ticks rather than wedging.
   /// Skipped entirely while a catch-up session owns recovery.
   void ae_housekeeping() {
     if constexpr (kCatchupCapable) {
@@ -1173,7 +1190,7 @@ class StoreCore {
         if (q == pid_) continue;
         AeRound& r = ae_[q];
         if (r.active) {
-          if (++r.ticks_active < config_.ae_patience_ticks) continue;
+          if (++r.ticks_active < kAePatienceTicks) continue;
         } else if (!peers_[q].gapped) {
           continue;
         }
@@ -1388,7 +1405,6 @@ class StoreCore {
   std::atomic<LogicalTime> last_ack_clock_{0};
   std::size_t pending_total_ = 0;  ///< single-owner path's buffered count
   LogicalTime gc_floor_ = 0;
-  std::size_t gc_cursor_ = 0;  ///< incremental sweep resume point
   std::uint64_t last_progress_mark_ = 0;
   std::size_t stall_ticks_ = 0;
   bool resync_needed_ = false;

@@ -43,11 +43,8 @@ struct StoreStats {
 
   // -- single-node saturation (pooled ThreadUcStore hot paths).
   /// Remote entries shipped straight into worker remote inboxes by the
-  /// sharded delivery path (no router lock) vs fanned out under the
-  /// router lock (the legacy StoreConfig::router_delivery arm). During
-  /// steady state on the default path, router_deliveries stays 0.
+  /// sharded delivery path (no router lock).
   std::uint64_t inbox_deliveries = 0;
-  std::uint64_t router_deliveries = 0;
   /// Producer-side multi-slot ring claims (one CAS covering >1 op) and
   /// the logical ops they carried — update_batch's per-worker groups.
   /// ring_batch_ops / ring_batch_claims is the mean ops amortized per
@@ -190,18 +187,17 @@ inline void print_store_table(std::ostream& os,
      << net.restarts << " restarts\n";
 }
 
-/// One line of cluster-wide single-node-saturation counters: how remote
-/// entries were delivered (sharded inboxes vs the legacy router lock),
-/// how well ring CAS claims amortized, and how the read path split
-/// between zero-copy snapshots and read-your-writes fallbacks, and how
-/// often pool workers parked and were woken. Printed by
-/// print_observability whenever any of them is nonzero.
+/// One line of cluster-wide single-node-saturation counters: remote
+/// entries delivered into sharded inboxes, how well ring CAS claims
+/// amortized, how the read path split between zero-copy snapshots and
+/// read-your-writes fallbacks, and how often pool workers parked and
+/// were woken. Printed by print_observability whenever any of them is
+/// nonzero.
 inline void print_saturation_line(
     std::ostream& os, const std::vector<StoreStats>& per_process) {
   StoreStats t;
   for (const StoreStats& s : per_process) {
     t.inbox_deliveries += s.inbox_deliveries;
-    t.router_deliveries += s.router_deliveries;
     t.ring_batch_claims += s.ring_batch_claims;
     t.ring_batch_ops += s.ring_batch_ops;
     t.zero_copy_reads += s.zero_copy_reads;
@@ -209,9 +205,8 @@ inline void print_saturation_line(
     t.worker_parks += s.worker_parks;
     t.worker_wakes += s.worker_wakes;
   }
-  if (t.inbox_deliveries + t.router_deliveries + t.ring_batch_claims +
-          t.zero_copy_reads + t.ryw_ring_fallbacks + t.worker_parks +
-          t.worker_wakes ==
+  if (t.inbox_deliveries + t.ring_batch_claims + t.zero_copy_reads +
+          t.ryw_ring_fallbacks + t.worker_parks + t.worker_wakes ==
       0) {
     return;
   }
@@ -221,7 +216,6 @@ inline void print_saturation_line(
           : static_cast<double>(t.ring_batch_ops) /
                 static_cast<double>(t.ring_batch_claims);
   os << "saturation: " << t.inbox_deliveries << " inbox deliveries, "
-     << t.router_deliveries << " router deliveries, "
      << t.ring_batch_claims << " batch claims (" << ops_per_claim
      << " ops/claim), " << t.zero_copy_reads << " zero-copy reads, "
      << t.ryw_ring_fallbacks << " ryw fallbacks, " << t.worker_parks
@@ -328,16 +322,16 @@ inline void merge_wire_counters(StoreStats& into, const StoreStats& slice) {
 /// of the bench binaries.
 inline void print_shard_table(std::ostream& os,
                               const std::vector<ShardStats>& shards) {
-  TextTable t({"shard", "keys", "window", "views", "local", "remote",
-               "dup", "queries", "log entries", "gc folded", "snap out",
-               "snap in", "~bytes"});
+  TextTable t({"shard", "keys", "views", "local", "remote", "dup",
+               "queries", "log entries", "gc folded", "snap out", "snap in",
+               "~bytes"});
   ShardStats total;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const ShardStats& s = shards[i];
-    t.add(i, s.keys_live, s.batch_window, s.published_keys,
-          s.local_updates, s.remote_updates, s.duplicate_updates,
-          s.queries, s.log_entries, s.gc_folded, s.snapshots_exported,
-          s.snapshots_installed, s.approx_bytes);
+    t.add(i, s.keys_live, s.published_keys, s.local_updates,
+          s.remote_updates, s.duplicate_updates, s.queries, s.log_entries,
+          s.gc_folded, s.snapshots_exported, s.snapshots_installed,
+          s.approx_bytes);
     total.keys_live += s.keys_live;
     total.published_keys += s.published_keys;
     total.local_updates += s.local_updates;
@@ -350,7 +344,7 @@ inline void print_shard_table(std::ostream& os,
     total.snapshots_installed += s.snapshots_installed;
     total.approx_bytes += s.approx_bytes;
   }
-  t.add("total", total.keys_live, "-", total.published_keys,
+  t.add("total", total.keys_live, total.published_keys,
         total.local_updates, total.remote_updates, total.duplicate_updates,
         total.queries, total.log_entries, total.gc_folded,
         total.snapshots_exported, total.snapshots_installed,

@@ -47,12 +47,11 @@
 //     entries straight into the owning workers' remote inboxes with
 //     only a shard-index computation. The envelope *header* (epoch,
 //     seq, ack clock) is queued on a small duty ring for the router.
+//     This is the only remote-delivery path.
 //   * the *router* role — whichever thread holds the router lock:
 //     poll()/flush() take it — is off the per-op hot path entirely: it
 //     drains the duty ring (stream positions, stability acks), runs
 //     the flush/heartbeat/GC tick, and owns recovery bookkeeping.
-//     StoreConfig::router_delivery restores the old fan-out-under-the-
-//     router-lock path as a measurable comparison arm (bench E14).
 //
 // Ack honesty under concurrent stamping: a pooled batch envelope ships
 // ack_clock = 0 (one worker cannot vouch for the whole process stream),
@@ -336,16 +335,8 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     if (own_writes_visible) {
       if (auto state = this->engine(engine).try_read_published(key)) {
         published_reads_.fetch_add(1, std::memory_order_relaxed);
-        typename A::QueryOut out;
-        if (this->config().router_delivery) {
-          // Comparison arm: the pre-rework read copied the state out
-          // of the seqlock before producing the answer.
-          const typename A::State copy = *state;
-          out = this->adt().output(copy, qi);
-        } else {
-          zero_copy_reads_.fetch_add(1, std::memory_order_relaxed);
-          out = this->adt().output(*state, qi);
-        }
+        zero_copy_reads_.fetch_add(1, std::memory_order_relaxed);
+        typename A::QueryOut out = this->adt().output(*state, qi);
         if (this->recorder_) {
           this->recorder_->record_query(producer, key, this->clock_.now(),
                                         out);
@@ -381,10 +372,6 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   /// drain serializes on the router lock.
   std::size_t poll() {
     if (!pool_) return Core::poll();
-    if (this->config().router_delivery) {
-      std::lock_guard lock(router_mutex_);
-      return route_inbox_locked();
-    }
     const std::size_t delivered = try_deliver_inbox();
     std::lock_guard lock(router_mutex_);
     (void)drain_duty_locked();
@@ -401,13 +388,9 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     if (!pool_) return Core::flush();
     // Deliver before taking the router lock, as poll() does: with the
     // duty ring full, deliver_sharded try-locks router_mutex_ itself.
-    if (!this->config().router_delivery) (void)try_deliver_inbox();
+    (void)try_deliver_inbox();
     std::lock_guard lock(router_mutex_);
-    if (this->config().router_delivery) {
-      (void)route_inbox_locked();
-    } else {
-      (void)drain_duty_locked();
-    }
+    (void)drain_duty_locked();
     // The barrier *before* the flush ops: every stamp at or below it is
     // already in a ring, so the kFlush behind it drains it onto the
     // wire, and the heartbeat broadcast *after* flush_all is behind
@@ -423,13 +406,7 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       // folds — raising the self row to the barrier cannot fold over an
       // in-ring entry even in a 1-process cluster.
       const LogicalTime floor = this->refresh_stability_floor(barrier);
-      if (floor > 0) {
-        const std::size_t budget = this->config().gc_engines_per_sweep;
-        const std::size_t per_worker =
-            budget == 0 ? 0
-                        : (budget + pool_->workers() - 1) / pool_->workers();
-        pool_->gc_all(floor, per_worker);
-      }
+      if (floor > 0) pool_->gc_all(floor);
     }
     // Reads only atomics (worker-side last-applied mirrors, the lag
     // histogram) plus router-guarded stats — safe while workers run.
@@ -461,8 +438,6 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     s.published_reads = published_reads_.load(std::memory_order_relaxed);
     s.ring_reads = ring_reads_.load(std::memory_order_relaxed);
     s.inbox_deliveries = inbox_deliveries_.load(std::memory_order_relaxed);
-    s.router_deliveries =
-        router_deliveries_.load(std::memory_order_relaxed);
     s.ring_batch_claims =
         ring_batch_claims_.load(std::memory_order_relaxed);
     s.ring_batch_ops = ring_batch_ops_.load(std::memory_order_relaxed);
@@ -511,30 +486,18 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       return;
     }
     for (;;) {
-      if (this->config().router_delivery) {
-        std::lock_guard lock(router_mutex_);
-        (void)route_inbox_locked();
-      } else {
-        (void)try_deliver_inbox();
-        std::lock_guard lock(router_mutex_);
-        (void)drain_duty_locked();
-      }
+      (void)poll();
       // The inbox is empty, but delivered entries may still sit in
       // worker rings/inboxes — wait them out before deciding short.
       pool_->quiesce();
       if (applied_entries() >= total_entries) return;
       auto env = this->net_->inbox(this->pid_).pop_wait();
       if (!env.has_value()) return;  // closed
-      if (this->config().router_delivery) {
-        std::lock_guard lock(router_mutex_);
-        route(env->from, env->payload);
-      } else {
-        while (deliver_lock_.test_and_set(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        deliver_sharded(env->from, std::move(env->payload));
-        deliver_lock_.clear(std::memory_order_release);
+      while (deliver_lock_.test_and_set(std::memory_order_acquire)) {
+        std::this_thread::yield();
       }
+      deliver_sharded(env->from, std::move(env->payload));
+      deliver_lock_.clear(std::memory_order_release);
     }
   }
 
@@ -634,14 +597,12 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
     }
   }
 
-  /// The default delivery entry point (any thread, NO router lock):
+  /// The delivery entry point (any thread, NO router lock):
   /// try-acquires the dedicated delivery spinlock — the serialization
   /// that keeps per-sender envelope order intact on the way into worker
   /// inboxes — and drains the process inbox. A losing thread returns
-  /// immediately (someone else is delivering). With router_delivery set
-  /// this degrades to the legacy router-locked fan-out.
+  /// immediately (someone else is delivering).
   std::size_t try_deliver_inbox() {
-    if (this->config().router_delivery) return try_route_inbox();
     if (deliver_lock_.test_and_set(std::memory_order_acquire)) return 0;
     std::size_t delivered = 0;
     while (auto env = this->net_->inbox(this->pid_).try_pop()) {
@@ -665,21 +626,8 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   /// vouches for entries already in worker inboxes — and workers drain
   /// those before any GC fold (see worker_pool.hpp).
   void deliver_sharded(ProcessId from, Envelope&& e) {
-    if (const auto& o = this->obs_; o) {
-      // Tracer rings are multi-writer safe (fetch_add slot claim) and
-      // the lag histogram is atomic — safe without the router lock.
-      if (o->tracer && !e.entries.empty()) {
-        o->tracer->instant(0, obs::TraceEventKind::kDeliver, from,
-                           e.entries.size());
-      }
-      const LogicalTime now = this->clock_.now();
-      for (const auto& entry : e.entries) {
-        const LogicalTime sc = entry.msg.stamp.clock;
-        if (o->sampled(sc)) {
-          o->replication_lag.record(now > sc ? now - sc : 0);
-        }
-      }
-    }
+    // The owning workers emit the apply events on their own tracks.
+    this->observe_delivery(from, e.entries, /*applied_here=*/false);
     const std::size_t nw = pool_->workers();
     for (auto& entry : e.entries) {
       const std::size_t engine = this->shard_index(entry.key);
@@ -722,69 +670,10 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
       header.seq = note->seq;
       header.ack_clock = note->ack_clock;
       this->note_stream(note->from, header);
-      // Same gap gate as route(): a gapped stream's piggybacked ack
-      // proves nothing about what a partition dropped.
-      if (this->stability_ && note->ack_clock > 0 &&
-          (this->config().fault.is(Fault::kFoldAcksAcrossGaps) ||
-           !this->stream_gapped(note->from))) {
-        this->stability_->observe_ack(note->from, note->ack_clock);
-      }
+      this->observe_ack(note->from, note->ack_clock);
       ++drained;
     }
     return drained;
-  }
-
-  std::size_t try_route_inbox() {
-    std::unique_lock lock(router_mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) return 0;  // someone else is routing
-    return route_inbox_locked();
-  }
-
-  /// Router: drains the process inbox, observing store-wide bookkeeping
-  /// (stream positions, stability acks) under the router lock, then
-  /// fans the keyed entries out to their owning workers.
-  std::size_t route_inbox_locked() {
-    std::size_t routed = 0;
-    while (auto env = this->net_->inbox(this->pid_).try_pop()) {
-      route(env->from, env->payload);
-      ++routed;
-    }
-    return routed;
-  }
-
-  void route(ProcessId from, const Envelope& e) {
-    this->note_stream(from, e);
-    // Router records delivery + replication lag; the owning workers
-    // record the (sampled) apply events on their own tracks.
-    if (const auto& o = this->obs_; o) {
-      if (o->tracer && !e.entries.empty()) {
-        o->tracer->instant(0, obs::TraceEventKind::kDeliver, from,
-                           e.entries.size());
-      }
-      const LogicalTime now = this->clock_.now();
-      for (const auto& entry : e.entries) {
-        const LogicalTime sc = entry.msg.stamp.clock;
-        if (o->sampled(sc)) {
-          o->replication_lag.record(now > sc ? now - sc : 0);
-        }
-      }
-    }
-    for (const auto& entry : e.entries) {
-      pool_->enqueue_remote(this->shard_index(entry.key), from, entry.key,
-                            entry.msg);
-    }
-    router_deliveries_.fetch_add(e.entries.size(),
-                                 std::memory_order_relaxed);
-    // Same gap gate as the single-owner deliver() path: a gapped
-    // stream's piggybacked ack proves nothing about what the partition
-    // dropped (the thread transport's hold-mode partitions never drop,
-    // so gaps cannot arise there today — but the gate is a soundness
-    // invariant of ack observation, not a transport property).
-    if (this->stability_ && e.ack_clock > 0 &&
-        (this->config().fault.is(Fault::kFoldAcksAcrossGaps) ||
-         !this->stream_gapped(from))) {
-      this->stability_->observe_ack(from, e.ack_clock);
-    }
   }
 
   std::uint64_t uid_;
@@ -792,8 +681,8 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   std::unique_ptr<ClaimSlot[]> claim_slots_;
   std::atomic<std::size_t> producers_seen_{0};
   /// Store-wide (not per-router) state below is guarded by this lock:
-  /// peers_, stability_, stats_, gc_floor_ — everything route() and the
-  /// flush tick touch outside the engines.
+  /// peers_, stability_, stats_, gc_floor_ — everything the duty drain
+  /// and the flush tick touch outside the engines.
   mutable std::mutex router_mutex_;
   /// Delivery spinlock: serializes sharded inbox drains (per-sender
   /// envelope order into worker inboxes) without ever touching the
@@ -805,8 +694,6 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   /// ticks cannot fill it under realistic envelope rates; when it does
   /// fill, the delivery path drains it itself under a try-lock.
   MpscRing<StreamNote> duty_ring_{4096};
-  /// Per-worker envelope-slice assembly buffers; deliver-lock holder
-  /// only (reused across envelopes to avoid per-delivery allocation).
   /// Per-worker grouping scratch for deliver_sharded (delivery-lock
   /// holder only); deliver_remote clears each group with capacity
   /// intact, so steady-state delivery allocates nothing.
@@ -814,7 +701,6 @@ class ThreadUcStore : public StoreCore<A, Net, Key> {
   std::atomic<std::uint64_t> published_reads_{0};
   std::atomic<std::uint64_t> ring_reads_{0};
   std::atomic<std::uint64_t> inbox_deliveries_{0};
-  std::atomic<std::uint64_t> router_deliveries_{0};
   std::atomic<std::uint64_t> ring_batch_claims_{0};
   std::atomic<std::uint64_t> ring_batch_ops_{0};
   std::atomic<std::uint64_t> zero_copy_reads_{0};

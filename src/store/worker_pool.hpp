@@ -21,19 +21,22 @@
 //     producer) and workers drain in blocks (try_pop_n);
 //   * every worker also owns a *remote inbox*: a second MPSC ring of
 //     pre-sharded entries that network delivery fills with only a
-//     shard-index computation — the router lock is no longer on the
-//     delivery path at all (see ThreadUcStore::deliver_sharded). The
-//     worker drains it opportunistically every loop, and *always*
-//     before folding in a GC op: fold ops ride the op ring behind the
-//     router's floor computation, and the floor only covers entries
-//     whose envelopes were delivered (hence pushed to remote inboxes)
-//     before it was computed — draining the inbox first preserves
-//     "every entry at or below the floor is applied before the fold";
+//     shard-index computation — the only way remote entries reach a
+//     worker, with no router lock on the way (see
+//     ThreadUcStore::deliver_sharded). The worker drains it
+//     opportunistically every loop, and *always* before folding in a GC
+//     op: fold ops ride the op ring behind the router's floor
+//     computation, and the floor only covers entries whose envelopes
+//     were delivered (hence pushed to remote inboxes) before it was
+//     computed — draining the inbox first preserves "every entry at or
+//     below the floor is applied before the fold";
 //   * flush, GC-fold, and heartbeat ticks run per worker: each worker
 //     drains its own engines into one envelope (seq drawn from the
-//     router's atomic stream counter), folds its own engines to the
-//     router-computed floor, and charges a private StoreStats slice, so
-//     concurrent ticks never share a cache line, let alone a lock.
+//     router's atomic stream counter), folds its own dirty engines to
+//     the router-computed floor (StoreCore::fold_engines, the same fold
+//     the single-owner store runs), and charges a private StoreStats
+//     slice, so concurrent ticks never share a cache line, let alone a
+//     lock.
 //
 // Idle and wake policy. A worker with nothing to do spins 64 polls (the
 // back-to-back case), then parks on its condition variable with a 1 ms
@@ -53,10 +56,9 @@
 //     without waking, and the worker runs them with its next batch;
 //   * plain updates (enqueue_update, enqueue_update_batch) wake it only
 //     once its ring backlog (ring position + 1 − processed) reaches the
-//     flush window: batch_window, or 1 under adaptive_window, whose
-//     point is that a lone update ships at once. The producer fast path
-//     stays one ring push plus one load of `sleeping`; the backlog is
-//     read only when the worker is parked.
+//     flush window, batch_window. The producer fast path stays one ring
+//     push plus one load of `sleeping`; the backlog is read only when
+//     the worker is parked.
 //
 // Updates are wait-free and reads may return outdated values, so a
 // local update need not be applied the instant it is enqueued: a
@@ -135,7 +137,6 @@ class StoreWorkerPool {
   struct Op {
     enum class Kind : std::uint8_t {
       kUpdate,
-      kRemote,
       kQuery,
       kFlush,
       kGc,
@@ -143,7 +144,6 @@ class StoreWorkerPool {
     };
     Kind kind = Kind::kStop;
     std::uint32_t engine = 0;
-    ProcessId from = 0;
     Key key{};
     UpdateMessage<A> msg{};
     LogicalTime gc_floor = 0;
@@ -166,7 +166,6 @@ class StoreWorkerPool {
     std::vector<RemoteItem> rblock;  ///< reusable remote drain buffer
     std::uint16_t track = 0;       ///< trace track (worker w → track w+1)
     std::size_t pending = 0;       ///< buffered entries across its engines
-    std::size_t gc_cursor = 0;     ///< incremental-fold resume point
     std::atomic<std::uint64_t> processed{0};
     std::atomic<std::uint64_t> remote_processed{0};  ///< entries applied
     // Idle parking (see the file header): the worker sleeps on the cv
@@ -199,11 +198,7 @@ class StoreWorkerPool {
       std::numeric_limits<std::uint64_t>::max();
 
   StoreWorkerPool(Store& store, std::size_t n_workers)
-      : store_(store),
-        wake_backlog_(store.config().adaptive_window
-                          ? 1
-                          : store.config().batch_window),
-        tick_pos_(n_workers) {
+      : store_(store), tick_pos_(n_workers) {
     UCW_CHECK(n_workers >= 1);
     workers_.reserve(n_workers);
     for (std::size_t w = 0; w < n_workers; ++w) {
@@ -332,20 +327,6 @@ class StoreWorkerPool {
     return workers_[w]->processed.load(std::memory_order_acquire);
   }
 
-  /// Any thread (in practice: whichever one holds the router lock).
-  void enqueue_remote(std::size_t engine_index, ProcessId from,
-                      const Key& key, const UpdateMessage<A>& msg) {
-    Op op;
-    op.kind = Op::Kind::kRemote;
-    op.engine = static_cast<std::uint32_t>(engine_index);
-    op.from = from;
-    op.key = key;
-    op.msg = msg;
-    Worker& w = *workers_[worker_of(engine_index)];
-    (void)push(w, std::move(op));
-    wake(w);
-  }
-
   /// Runs the query on the owning worker and waits for the answer —
   /// ring FIFO behind any update the calling thread already enqueued,
   /// so every client thread reads its own writes. With `promote` (a
@@ -370,8 +351,8 @@ class StoreWorkerPool {
   }
 
   /// Synchronous flush tick across every worker: each drains its own
-  /// engines into one envelope and re-sizes its adaptive windows.
-  /// Returns total entries flushed. Router-lock holder only.
+  /// engines into one envelope. Returns total entries flushed.
+  /// Router-lock holder only.
   std::size_t flush_all() {
     std::atomic<std::size_t> flushed{0};
     for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -387,21 +368,18 @@ class StoreWorkerPool {
   }
 
   /// GC tick: queues, on every worker, a fold of its dirty engines to
-  /// `floor`, spending at most `budget_per_worker` engines (0 = all of
-  /// them), resuming round-robin where its previous fold stopped. Does
-  /// not wait and does not wake: the fold is compaction, so it runs
-  /// whenever the worker next runs — within one park timeout — instead
-  /// of on the caller's flush tick. Because the fold rides the same
-  /// rings as updates, every entry enqueued before this call is applied
-  /// before its engine folds — which is what lets the router raise the
-  /// floor up to the stamp barrier (see ThreadUcStore::flush) without
-  /// folding over an in-ring entry. Router-lock holder only.
-  void gc_all(LogicalTime floor, std::size_t budget_per_worker) {
+  /// `floor`. Does not wait and does not wake: the fold is compaction,
+  /// so it runs whenever the worker next runs — within one park timeout
+  /// — instead of on the caller's flush tick. Because the fold rides the
+  /// same rings as updates, every entry enqueued before this call is
+  /// applied before its engine folds — which is what lets the router
+  /// raise the floor up to the stamp barrier (see ThreadUcStore::flush)
+  /// without folding over an in-ring entry. Router-lock holder only.
+  void gc_all(LogicalTime floor) {
     for (auto& w : workers_) {
       Op op;
       op.kind = Op::Kind::kGc;
       op.gc_floor = floor;
-      op.engine = static_cast<std::uint32_t>(budget_per_worker);
       (void)push(*w, std::move(op));
     }
   }
@@ -475,7 +453,8 @@ class StoreWorkerPool {
   void wake_for_backlog(Worker& w, std::uint64_t last) const {
     wake_if(w, [&] {
       const std::uint64_t done = w.processed.load(std::memory_order_relaxed);
-      return done <= last && last + 1 - done >= wake_backlog_;
+      return done <= last &&
+             last + 1 - done >= store_.config().batch_window;
     });
   }
 
@@ -569,38 +548,19 @@ class StoreWorkerPool {
   bool run_once(Worker& w) {
     drain_remote(w);
     w.block.clear();
-    std::size_t got = 0;
-    // The comparison arm (StoreConfig::router_delivery) restores the
-    // pre-rework consumer too: one pop per loop, no block drains — so
-    // a benchmark flipping the flag measures the whole saturation
-    // rework, not just where delivery entries land.
-    if (store_.config().router_delivery) {
-      if (auto op = w.ring.try_pop()) {
-        w.block.push_back(std::move(*op));
-        got = 1;
-      }
-    } else {
-      got = w.ring.try_pop_n(w.block, kDrainBlock);
-    }
-    if (got == 0) return false;
+    if (w.ring.try_pop_n(w.block, kDrainBlock) == 0) return false;
     for (Op& popped : w.block) {
       Op* op = &popped;
       switch (op->kind) {
         case Op::Kind::kUpdate: {
-          Engine& e = store_.engine(op->engine);
           const LogicalTime sc = op->msg.stamp.clock;
-          e.local_update(op->key, std::move(op->msg));
+          store_.engine(op->engine).local_update(op->key, std::move(op->msg));
           if (const auto& o = store_.obs_;
               o && o->tracer && o->sampled(sc)) {
             o->tracer->instant(w.track, obs::TraceEventKind::kApplyLocal,
                                sc);
           }
-          ++w.pending;
-          const bool full =
-              store_.config().adaptive_window
-                  ? e.window_filled()
-                  : w.pending >= store_.config().batch_window;
-          if (full) {
+          if (++w.pending >= store_.config().batch_window) {
             (void)store_.flush_engines(w.engines, FlushCause::kWindowFull,
                                        w.stats, /*piggyback_ack=*/false,
                                        w.track);
@@ -608,16 +568,6 @@ class StoreWorkerPool {
           }
           break;
         }
-        case Op::Kind::kRemote:
-          // Legacy router-fanned delivery (StoreConfig::router_delivery).
-          (void)store_.engine(op->engine).apply_remote(op->from, op->key,
-                                                       op->msg);
-          if (const auto& o = store_.obs_;
-              o && o->tracer && o->sampled(op->msg.stamp.clock)) {
-            o->tracer->instant(w.track, obs::TraceEventKind::kApplyRemote,
-                               op->msg.stamp.clock);
-          }
-          break;
         case Op::Kind::kQuery: {
           Engine& e = store_.engine(op->engine);
           *op->query_out = e.query(op->key, *op->query_in);
@@ -640,29 +590,8 @@ class StoreWorkerPool {
           // inbox (they were pushed there before the floor was
           // computed): apply them before folding.
           drain_remote(w);
-          // op->engine carries the per-worker budget (0 = every dirty
-          // engine); the dirty-cursor skip keeps clean engines O(1).
-          std::size_t budget = op->engine;
-          const std::size_t n = w.engines.size();
-          if (budget == 0 || budget > n) budget = n;
-          std::size_t folded = 0;
-          std::size_t visited = 0;
-          std::size_t step = 0;
-          for (; step < n && visited < budget; ++step) {
-            Engine& e = *w.engines[(w.gc_cursor + step) % n];
-            if (!e.gc_pending(op->gc_floor)) continue;
-            folded += e.fold_to(op->gc_floor);
-            ++visited;
-          }
-          w.gc_cursor = n == 0 ? 0 : (w.gc_cursor + step) % n;
-          if (visited > 0) {
-            ++w.stats.gc_runs;
-            w.stats.gc_folded += folded;
-          }
-          if (const auto& o = store_.obs_; o && o->tracer && folded > 0) {
-            o->tracer->instant(w.track, obs::TraceEventKind::kGcFold,
-                               folded, op->gc_floor);
-          }
+          (void)store_.fold_engines(w.engines, op->gc_floor, w.stats,
+                                    w.track);
           break;
         }
         case Op::Kind::kStop:
@@ -675,9 +604,6 @@ class StoreWorkerPool {
   }
 
   Store& store_;
-  /// Unprocessed ring ops that justify waking a parked worker for a
-  /// plain update: the flush window (1 under adaptive windows).
-  std::size_t wake_backlog_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::uint64_t> tick_pos_;  ///< flush_all's op positions
   bool stopped_ = false;

@@ -257,38 +257,43 @@ TEST(StoreGcTest, CrashedSenderHeartbeatsAreCountedAsDropped) {
   EXPECT_EQ(b.stats().remote_entries, 0u);
 }
 
-TEST(StoreGcTest, IncrementalSweepBudgetStillDrainsEveryShard) {
-  // The per-engine GC cursor: with a budget of 1 engine per sweep, each
-  // flush tick folds only one dirty shard, but repeated ticks cover the
-  // keyspace round-robin and end at the same compaction a full sweep
-  // reaches (clean engines are skipped in O(1)).
+TEST(StoreGcTest, OneSweepFoldsEveryDirtyShard) {
+  // One GC sweep folds every dirty engine: with entries resident on
+  // several shards, the first flush tick after the floor rises leaves
+  // only the unstable window resident (clean engines are skipped in
+  // O(1)).
   SimScheduler sched;
   SimNetwork<Env> net(sched, fifo_net_config(2));
   StoreConfig cfg = gc_store_config(/*window=*/2);
-  cfg.gc_engines_per_sweep = 1;
   Store a(S{}, 0, net, cfg);
   Store b(S{}, 1, net, cfg);
+  // Touch many keys so several shards hold foldable entries. b sends
+  // nothing yet, so its row pins a's floor at zero.
   for (int r = 0; r < 12; ++r) {
-    // Touch many keys so several shards hold foldable entries.
     a.update("k" + std::to_string(r % 8), S::insert(r));
-    (void)a.flush();
-    sched.run();
-    (void)b.flush();
-    sched.run();
-    (void)a.flush();
-    sched.run();
   }
-  // Extra ticks with no new updates: the cursor finishes the backlog.
-  for (int r = 0; r < 8; ++r) {
-    (void)a.flush();
-    (void)b.flush();
-    sched.run();
+  (void)a.flush();
+  sched.run();
+  std::size_t dirty_shards = 0;
+  for (const ShardStats& s : a.shard_stats()) {
+    if (s.log_entries > 0) ++dirty_shards;
   }
+  ASSERT_GT(dirty_shards, 1u);
+  const LogicalTime floor_before = a.stats().stability_floor;
+  const std::uint64_t runs_before = a.stats().gc_runs;
+  // b's heartbeat acks everything it holds; a's next tick raises the
+  // floor and folds.
+  (void)b.flush();
+  sched.run();
+  (void)a.flush();
+  EXPECT_GT(a.stats().stability_floor, floor_before);
+  EXPECT_EQ(a.stats().gc_runs, runs_before + 1);
   EXPECT_GT(a.stats().gc_folded, 0u);
   // Every entry at or below the floor is folded on every shard: the
   // resident logs hold only the unstable window.
   EXPECT_LE(a.log_entries_resident(),
             static_cast<std::uint64_t>(a.stats().stability_floor_lag));
+  sched.run();
   for (int k = 0; k < 8; ++k) {
     const std::string key = "k" + std::to_string(k);
     EXPECT_EQ(a.state_of(key), b.state_of(key)) << key;

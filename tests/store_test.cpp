@@ -204,44 +204,6 @@ TEST(SimUcStoreTest, CrashedSenderShipsNothingButStaysLocallyUsable) {
   EXPECT_EQ(a.query("k", S::read()), (std::set<int>{1}));
 }
 
-TEST(SimUcStoreTest, AdaptiveWindowTracksPerShardRate) {
-  SimScheduler sched;
-  SimNetwork<Env> net(sched, net_config(2));
-  StoreConfig cfg;
-  cfg.adaptive_window = true;
-  cfg.batch_window = 64;  // the cap the per-engine windows adapt under
-  cfg.shard_count = 4;
-  SimUcStore<S> a(S{}, 0, net, cfg);
-  SimUcStore<S> b(S{}, 1, net, cfg);
-  const std::size_t hot_shard = a.shard_index("hot");
-
-  // Cold phase: one update per flush tick. The EWMA sees ~1 update per
-  // latency bound, so the engine's window shrinks to 1 — the lone
-  // update ships immediately instead of waiting out the tick.
-  for (int t = 0; t < 40; ++t) {
-    a.update("hot", S::insert(t));
-    (void)a.flush();
-    sched.run();
-  }
-  EXPECT_EQ(a.shard_stats()[hot_shard].batch_window, 1u);
-  const auto full_before = a.stats().flushes_full;
-  a.update("hot", S::insert(1000));
-  EXPECT_EQ(a.pending(), 0u);  // window 1: shipped on the spot
-  EXPECT_EQ(a.stats().flushes_full, full_before + 1);
-
-  // Hot phase: 64 updates per tick. The EWMA climbs and the window
-  // grows back toward the cap, restoring batching where it pays.
-  for (int t = 0; t < 30; ++t) {
-    for (int i = 0; i < 64; ++i) a.update("hot", S::insert(i));
-    (void)a.flush();
-    sched.run();
-  }
-  EXPECT_GT(a.shard_stats()[hot_shard].batch_window, 16u);
-  EXPECT_LE(a.shard_stats()[hot_shard].batch_window, 64u);
-  // Convergence is never window-dependent.
-  EXPECT_EQ(a.state_of("hot"), b.state_of("hot"));
-}
-
 TEST(SimUcStoreTest, PerKeyStatsAggregateAcrossShards) {
   SimScheduler sched;
   SimNetwork<Env> net(sched, net_config(1));

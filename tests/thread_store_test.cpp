@@ -545,22 +545,20 @@ TEST(MultiProducerTest, BatchedUpdatesMatchSinglesAndSim) {
   EXPECT_EQ(batched, sim) << "batched claims diverged from Sim baseline";
 }
 
-TEST(WorkerPoolTest, ShardedDeliveryBypassesTheRouterLock) {
-  // The delivery-rework acceptance check: on the default path every
-  // remote entry reaches its owning worker through that worker's
-  // remote inbox (inbox_deliveries) and the router-locked fan-out is
-  // never taken (router_deliveries == 0). The comparison arm flips
-  // both counters — and both arms converge to the same states.
-  auto run = [](bool router_delivery) {
+TEST(WorkerPoolTest, ShardedInboxDeliversEveryRemoteEntry) {
+  // Sharded inbox delivery is the one remote-delivery path: every remote
+  // entry a pooled store applies reached its owning worker through that
+  // worker's remote inbox (inbox_deliveries), and a pooled pair ends in
+  // the same per-key states as an unpooled pair fed the same script.
+  constexpr int kOps = 200;
+  auto run = [](std::size_t workers) {
     ThreadNetwork<TS::Envelope> net(2);
     StoreConfig cfg;
-    cfg.workers = 2;
+    cfg.workers = workers;
     cfg.batch_window = 4;
     cfg.shard_count = 8;
-    cfg.router_delivery = router_delivery;
     TS a(S{}, 0, net, cfg);
     TS b(S{}, 1, net, cfg);
-    constexpr int kOps = 200;
     for (int i = 0; i < kOps; ++i) {
       a.update("k" + std::to_string(i % 16), S::insert(i));
       b.update("k" + std::to_string(i % 16), S::insert(kOps + i));
@@ -575,19 +573,17 @@ TEST(WorkerPoolTest, ShardedDeliveryBypassesTheRouterLock) {
       EXPECT_EQ(a.state_of(key), b.state_of(key)) << key;
       out[key] = a.state_of(key);
     }
-    const StoreStats sa = a.stats();
-    if (router_delivery) {
-      EXPECT_GT(sa.router_deliveries, 0u);
-      EXPECT_EQ(sa.inbox_deliveries, 0u);
-    } else {
-      EXPECT_GT(sa.inbox_deliveries, 0u);
-      EXPECT_EQ(sa.router_deliveries, 0u);
+    for (const TS* s : {&a, &b}) {
+      const StoreStats st = s->stats();
+      EXPECT_EQ(st.remote_entries, static_cast<std::uint64_t>(kOps));
+      EXPECT_EQ(st.inbox_deliveries, workers > 1 ? st.remote_entries : 0u)
+          << "workers=" << workers;
     }
     net.close_all();
     return out;
   };
-  EXPECT_EQ(run(false), run(true))
-      << "sharded and router-locked delivery disagreed on final states";
+  EXPECT_EQ(run(2), run(1))
+      << "pooled and unpooled delivery disagreed on final states";
 }
 
 TEST(WorkerPoolTest, BatchedClaimsKeepAcksHonestUnderGc) {

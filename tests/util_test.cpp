@@ -3,11 +3,11 @@
 #include <set>
 #include <unordered_set>
 
+#include "obs/histogram.hpp"
 #include "util/bitset64.hpp"
 #include "util/flags.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace ucw {
@@ -129,7 +129,7 @@ TEST(Rng, WeightedIndexRespectsWeights) {
 }
 
 TEST(Stats, MomentsAndPercentiles) {
-  StatsAccumulator acc;
+  obs::LatencySummary acc;
   for (int i = 1; i <= 100; ++i) acc.add(i);
   EXPECT_EQ(acc.count(), 100u);
   EXPECT_DOUBLE_EQ(acc.mean(), 50.5);
@@ -141,7 +141,7 @@ TEST(Stats, MomentsAndPercentiles) {
 }
 
 TEST(Stats, MergeCombinesSamples) {
-  StatsAccumulator a, b;
+  obs::LatencySummary a, b;
   a.add(1.0);
   b.add(3.0);
   a.merge(b);
@@ -150,7 +150,7 @@ TEST(Stats, MergeCombinesSamples) {
 }
 
 TEST(Stats, EmptyThrowsOnMoments) {
-  StatsAccumulator acc;
+  obs::LatencySummary acc;
   EXPECT_TRUE(acc.empty());
   EXPECT_THROW((void)acc.mean(), contract_error);
   EXPECT_EQ(acc.summary(), "n=0");
