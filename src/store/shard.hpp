@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/replica.hpp"
@@ -142,26 +143,42 @@ class StoreShard {
  public:
   using Replica = ReplayReplica<A>;
 
+  /// One map slot: the key's replica plus the owning engine's GC-list
+  /// flag (ShardEngine::touch). The flag lives in the slot so listing a
+  /// key costs no second hash lookup on the update path.
+  struct Slot {
+    Slot(const A& adt, ProcessId pid, const typename Replica::Config& cfg)
+        : replica(adt, pid, cfg) {}
+    Replica replica;
+    bool listed = false;
+  };
+  /// Map nodes are address-stable across rehashes, so an engine may
+  /// keep pointers to them.
+  using Node = std::pair<const Key, Slot>;
+
   StoreShard(A adt, ProcessId pid, typename Replica::Config config)
       : adt_(std::move(adt)), pid_(pid), config_(config) {}
 
   /// The replica for `key`, instantiated on first touch.
   [[nodiscard]] Replica& replica(const Key& key) {
-    auto it = replicas_.find(key);
-    if (it == replicas_.end()) {
-      it = replicas_.emplace(key, Replica(adt_, pid_, config_)).first;
-    }
-    return it->second;
+    return slot(key).first->second.replica;
+  }
+
+  /// The slot for `key`, instantiated on first touch, in one hash
+  /// lookup; `second` is true when this call created it.
+  [[nodiscard]] std::pair<Node*, bool> slot(const Key& key) {
+    auto [it, created] = replicas_.try_emplace(key, adt_, pid_, config_);
+    return {&*it, created};
   }
 
   /// The replica for `key` if it was ever touched, else nullptr.
   [[nodiscard]] const Replica* find(const Key& key) const {
     auto it = replicas_.find(key);
-    return it == replicas_.end() ? nullptr : &it->second;
+    return it == replicas_.end() ? nullptr : &it->second.replica;
   }
   [[nodiscard]] Replica* find(const Key& key) {
     auto it = replicas_.find(key);
-    return it == replicas_.end() ? nullptr : &it->second;
+    return it == replicas_.end() ? nullptr : &it->second.replica;
   }
 
   [[nodiscard]] std::size_t keys_live() const { return replicas_.size(); }
@@ -177,7 +194,12 @@ class StoreShard {
 
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (auto& [k, r] : replicas_) fn(k, r);
+    for (auto& [k, s] : replicas_) fn(k, s.replica);
+  }
+
+  template <typename Fn>
+  void for_each_slot(Fn&& fn) {
+    for (auto& [k, s] : replicas_) fn(k, s);
   }
 
   // Snapshot traffic accounting (bumped by the catch-up codec/installer).
@@ -189,7 +211,8 @@ class StoreShard {
     s.keys_live = replicas_.size();
     s.snapshots_exported = snapshots_exported_;
     s.snapshots_installed = snapshots_installed_;
-    for (const auto& [k, r] : replicas_) {
+    for (const auto& [k, slot] : replicas_) {
+      const Replica& r = slot.replica;
       const ReplicaStats& rs = r.stats();
       s.local_updates += rs.local_updates;
       s.remote_updates += rs.remote_updates;
@@ -206,7 +229,7 @@ class StoreShard {
   A adt_;
   ProcessId pid_;
   typename Replica::Config config_;
-  std::unordered_map<Key, Replica, ValueHash> replicas_;
+  std::unordered_map<Key, Slot, ValueHash> replicas_;
   std::uint64_t snapshots_exported_ = 0;
   std::uint64_t snapshots_installed_ = 0;
 };

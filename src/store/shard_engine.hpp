@@ -17,9 +17,17 @@
 // The engine also hosts the two per-shard optimizations the monolithic
 // StoreCore could not express:
 //
-//   * the GC dirty cursor — the engine tracks the minimum stamp of any
-//     entry it holds that has not been folded, so a sweep can skip
-//     clean engines in O(1) instead of walking every key of the store;
+//   * the GC dirty cursor and fold list — the engine tracks the minimum
+//     stamp of any entry it holds that has not been folded, so a sweep
+//     skips clean engines in O(1), and it lists the keys that hold
+//     unfolded entries (or were created since the last sweep), so a
+//     sweep of a dirty engine visits those keys only, not every key of
+//     the shard. A sweep also raises the floor of empty logs; an
+//     unlisted key's floor catches up to the last sweep's floor lazily,
+//     the next time anything could observe it: touch() before an apply
+//     or install, encode_snapshot() before it reads floors. Every
+//     (base, floor, log) seen through those paths is what a walk of
+//     every key on every sweep would have left;
 //   * published read views — per *hot* key, a seqlock-versioned
 //     snapshot of the replica state (util/seqlock_view.hpp) that any
 //     client thread reads wait-free, without riding the owner's ring.
@@ -89,7 +97,7 @@ class ShardEngine {
   void local_update(const Key& key, UpdateMessage<A> msg) {
     note_stamp(msg.stamp.clock);
     mark_dirty(key);
-    auto& rep = shard_.replica(key);
+    auto& rep = touch(key);
     rep.apply_local(msg);
     ++local_updates_;
     pending_.push_back(Entry{key, std::move(msg)});
@@ -102,7 +110,7 @@ class ShardEngine {
   /// the per-key log absorbed it as a replay.
   bool apply_remote(ProcessId from, const Key& key,
                     const UpdateMessage<A>& msg) {
-    auto& rep = shard_.replica(key);
+    auto& rep = touch(key);
     const std::uint64_t dups_before = rep.stats().duplicate_updates;
     rep.apply(from, msg);
     ++remote_entries_;
@@ -211,20 +219,39 @@ class ShardEngine {
     return min_unfolded_ <= floor;
   }
 
-  /// Folds every replica of this shard to `floor` and re-anchors the
-  /// dirty cursor at the smallest entry still resident.
+  /// Folds the listed replicas to `floor`, unlists those whose logs
+  /// are now empty, and re-anchors the dirty cursor at the smallest
+  /// entry still resident. Cost O(listed keys), not O(live keys): the
+  /// unlisted ones hold no entries, and their floors catch up to
+  /// `folded_floor_` lazily (touch, encode_snapshot).
   std::size_t fold_to(LogicalTime floor) {
     std::size_t folded = 0;
     LogicalTime min_left = kNoUnfolded;
-    shard_.for_each([&](const Key&, ReplayReplica<A>& r) {
-      folded += r.fold_to(floor);
-      if (r.log().size() > 0) {
-        const LogicalTime head = r.log().at(0).stamp.clock;
-        if (head < min_left) min_left = head;
+    std::size_t kept = 0;
+    for (Node* node : gc_list_) {
+      Slot& slot = node->second;
+      folded += slot.replica.fold_to(floor);
+      const auto& log = slot.replica.log();
+      if (log.size() == 0) {
+        slot.listed = false;
+        continue;
       }
-    });
+      if (log.at(0).stamp.clock < min_left) min_left = log.at(0).stamp.clock;
+      gc_list_[kept++] = node;
+    }
+    gc_list_.resize(kept);
+    if (floor > folded_floor_) folded_floor_ = floor;
     min_unfolded_ = min_left;
     return folded;
+  }
+
+  /// Keys the next sweep visits: those holding unfolded entries, plus
+  /// those touched since the last sweep. Owner thread.
+  [[nodiscard]] std::vector<Key> gc_listed_keys() const {
+    std::vector<Key> out;
+    out.reserve(gc_list_.size());
+    for (const Node* node : gc_list_) out.push_back(node->first);
+    return out;
   }
 
   // ----- snapshot serve / install --------------------------------------
@@ -241,6 +268,10 @@ class ShardEngine {
   [[nodiscard]] Snapshot encode_snapshot(std::size_t shard_count,
                                          std::uint64_t since_marker = 0,
                                          ProcessId requester = kNoDonor) {
+    // Snapshots carry every key's floor: settle the lazy ones first.
+    shard_.for_each_slot([&](const Key&, Slot& slot) {
+      if (!slot.listed) (void)slot.replica.fold_to(folded_floor_);
+    });
     Snapshot snap = encode_shard_snapshot(
         shard_, index_, shard_count, [&](const Key& k) {
           if (since_marker == 0) return true;
@@ -277,7 +308,7 @@ class ShardEngine {
   /// but a delta back to the donor itself may skip it.
   std::size_t install_key(const KeySnapshot<A, Key>& ks, bool* floor_raised,
                           ProcessId donor = kNoDonor) {
-    auto& rep = shard_.replica(ks.key);
+    auto& rep = touch(ks.key);
     const LogicalTime floor_before = rep.log().floor();
     const std::size_t log_before = rep.log().size();
     std::size_t replayed = 0;
@@ -344,8 +375,28 @@ class ShardEngine {
   }
 
  private:
+  using Slot = typename Shard::Slot;
+  using Node = typename Shard::Node;
+
   static constexpr LogicalTime kNoUnfolded =
       std::numeric_limits<LogicalTime>::max();
+
+  /// The replica for `key`, listed for the next sweep — the one way the
+  /// operation surface reaches a replica it may change, in the shard
+  /// map's single hash lookup. An existing unlisted slot first catches
+  /// its floor up to the last sweep's (its log is empty: the sweep that
+  /// unlisted it folded everything). A new slot keeps floor 0 until the
+  /// next sweep, exactly as it would under a walk of every key.
+  ReplayReplica<A>& touch(const Key& key) {
+    const auto [node, created] = shard_.slot(key);
+    Slot& slot = node->second;
+    if (!slot.listed) {
+      if (!created) (void)slot.replica.fold_to(folded_floor_);
+      slot.listed = true;
+      gc_list_.push_back(node);
+    }
+    return slot.replica;
+  }
 
   void note_stamp(LogicalTime t) {
     if (t < min_unfolded_) min_unfolded_ = t;
@@ -428,6 +479,9 @@ class ShardEngine {
   std::uint64_t registry_publishes_ = 0;
   std::uint64_t registry_keys_copied_ = 0;
   LogicalTime min_unfolded_ = kNoUnfolded;  ///< GC dirty cursor anchor
+  /// Slots the next sweep folds (each has `listed` set); see touch().
+  std::vector<Node*> gc_list_;
+  LogicalTime folded_floor_ = 0;  ///< highest floor a sweep folded to
   /// Delta-snapshot dirty-set entry: the advance mark of the key's last
   /// log-growing apply/install, plus install provenance for echo
   /// suppression (three words per live key).

@@ -310,10 +310,12 @@ class StoreCore {
   /// Pushes the store-wide stability floor down into the engines
   /// (Section VII-C fold, hoisted to store level). Runs on the flush
   /// tick; callable directly. Folds every *dirty* engine (clean ones
-  /// are skipped in O(1) via the engine's min-unfolded cursor). Returns
-  /// entries folded. Owner thread — it touches engine state; the pooled
-  /// flush instead splits this into the router-side floor refresh and
-  /// worker-side folds.
+  /// are skipped in O(1) via the engine's min-unfolded cursor), and
+  /// within one only the keys on its fold list — those holding entries
+  /// or touched since its last sweep; the other keys' floors catch up
+  /// lazily (ShardEngine::touch). Returns entries folded. Owner thread
+  /// — it touches engine state; the pooled flush instead splits this
+  /// into the router-side floor refresh and worker-side folds.
   std::size_t collect_garbage() {
     const LogicalTime floor = refresh_stability_floor(clock_.now());
     if (floor == 0) return 0;
@@ -427,14 +429,17 @@ class StoreCore {
   /// Number of shard engines (== StoreConfig::shard_count). Immutable —
   /// any thread.
   [[nodiscard]] std::size_t shard_count() const { return engines_.size(); }
-  /// Direct access to shard i's key→replica map. Owner thread.
+  /// Direct access to shard i's key→replica map. Owner thread. An
+  /// empty log read here may show a floor below its engine's last sweep
+  /// (the catch-up is lazy — see ShardEngine::touch); bases and logs
+  /// are exact.
   [[nodiscard]] Shard& shard(std::size_t i) { return engines_[i]->shard(); }
   /// Which shard (engine) owns `key` — a pure function of key and
   /// config, identical on every replica. Any thread.
   [[nodiscard]] std::size_t shard_index(const Key& key) const {
     return hash_value(key) % engines_.size();
   }
-  /// Direct access to `key`'s shard. Owner thread.
+  /// Direct access to `key`'s shard. Owner thread; floors as shard().
   [[nodiscard]] Shard& shard_of(const Key& key) {
     return engine_of(key).shard();
   }
@@ -469,6 +474,18 @@ class StoreCore {
     std::size_t n = 0;
     for (const auto& e : engines_) n += e->shard().stats().approx_bytes;
     return n;
+  }
+
+  /// Keys the next GC sweep would visit, across all engines: those
+  /// holding unfolded entries, plus those touched since their engine's
+  /// last sweep (order unspecified). Owner thread.
+  [[nodiscard]] std::vector<Key> gc_listed_keys() const {
+    std::vector<Key> out;
+    for (const auto& e : engines_) {
+      auto ks = e->gc_listed_keys();
+      out.insert(out.end(), ks.begin(), ks.end());
+    }
+    return out;
   }
 
   /// Un-folded log entries resident across all keys. Owner thread.
@@ -651,10 +668,11 @@ class StoreCore {
   }
 
   /// The GC fold: every dirty engine of `engines` — all of them on the
-  /// single-owner path, one worker's subset in a pool — folds to
-  /// `floor`, charging `st` (the router's stats, or the worker's slice)
-  /// and attributing the gc_fold event to `track`. Clean engines cost
-  /// one comparison each.
+  /// single-owner path, one worker's subset in a pool — folds its
+  /// listed keys to `floor` (ShardEngine::fold_to), charging `st` (the
+  /// router's stats, or the worker's slice) and attributing the gc_fold
+  /// event to `track`. Clean engines cost one comparison each; a dirty
+  /// one costs O(keys with resident entries), not O(live keys).
   std::size_t fold_engines(const std::vector<Engine*>& engines,
                            LogicalTime floor, StoreStats& st,
                            std::uint16_t track = 0) {

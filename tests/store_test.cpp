@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,10 +31,10 @@ TEST(StoreShardTest, LazyInstantiation) {
   StoreShard<S> shard(S{}, 0, {});
   EXPECT_EQ(shard.keys_live(), 0u);
   EXPECT_EQ(shard.find("a"), nullptr);
-  shard.replica("a");
+  (void)shard.replica("a");
   EXPECT_EQ(shard.keys_live(), 1u);
   EXPECT_NE(shard.find("a"), nullptr);
-  shard.replica("a");  // idempotent
+  (void)shard.replica("a");  // idempotent
   EXPECT_EQ(shard.keys_live(), 1u);
 }
 
@@ -333,6 +335,232 @@ TEST(EnvelopeTest, WireSizeAccountsFrameOncePerEnvelope) {
             static_cast<std::int64_t>(
                 kFrameOverheadBytes * (e.entries.size() - 1)) -
                 static_cast<std::int64_t>(kEnvelopeHeaderBytes));
+}
+
+// ----- GC fold list ---------------------------------------------------
+
+/// Exposes the per-shard engines, so the tests below can reach the
+/// snapshot-encode, install and remote-apply paths one key at a time.
+class ProbeStore : public SimUcStore<S> {
+ public:
+  using SimUcStore<S>::SimUcStore;
+  using SimUcStore<S>::engine_of;
+};
+
+SimNetwork<Env>::Config fifo_config(std::size_t n) {
+  SimNetwork<Env>::Config cfg = net_config(n);
+  cfg.fifo_links = true;
+  return cfg;
+}
+
+StoreConfig gc_config(std::size_t shards) {
+  StoreConfig cfg;
+  cfg.shard_count = shards;
+  cfg.batch_window = 64;  // ticks below flush by hand
+  cfg.gc = true;
+  return cfg;
+}
+
+/// `a` ships its batch, `b` answers with its ack heartbeat, and `a`'s
+/// next flush tick raises the floor and sweeps.
+template <typename Store>
+void ack_round(SimScheduler& sched, Store& a, Store& b) {
+  (void)a.flush();
+  sched.run();
+  (void)b.flush();
+  sched.run();
+  (void)a.flush();
+}
+
+std::set<std::string> keys_with_resident_entries(SimUcStore<S>& store) {
+  std::set<std::string> out;
+  for (std::size_t i = 0; i < store.shard_count(); ++i) {
+    store.shard(i).for_each([&](const std::string& k, ReplayReplica<S>& r) {
+      if (r.log().size() > 0) out.insert(k);
+    });
+  }
+  return out;
+}
+
+std::set<std::string> listed(const SimUcStore<S>& store) {
+  const auto keys = store.gc_listed_keys();
+  return {keys.begin(), keys.end()};
+}
+
+/// What a fold of every key to `floor` would leave: it folds nothing
+/// more on any key, so the resident count is the same.
+void expect_matches_all_keys_fold(SimUcStore<S>& store, LogicalTime floor) {
+  std::uint64_t resident = 0;
+  for (std::size_t i = 0; i < store.shard_count(); ++i) {
+    store.shard(i).for_each([&](const std::string& k, ReplayReplica<S>& r) {
+      ReplayReplica<S> full = r;
+      EXPECT_EQ(full.fold_to(floor), 0u) << k;
+      EXPECT_EQ(full.current_state(), r.current_state()) << k;
+      resident += full.log().size();
+    });
+  }
+  EXPECT_EQ(store.log_entries_resident(), resident);
+}
+
+TEST(StoreGcFoldListTest, SweepVisitsOnlyKeysWithEntriesOrNewSinceLastSweep) {
+  SimScheduler sched;
+  SimNetwork<Env> net(sched, fifo_config(2));
+  SimUcStore<S> a(S{}, 0, net, gc_config(16));
+  SimUcStore<S> b(S{}, 1, net, gc_config(16));
+  constexpr int kKeys = 4096;
+  std::vector<std::string> same_shard;  // keys sharing k0's engine
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string k = "k" + std::to_string(i);
+    a.update(k, S::insert(i));
+    if (a.shard_index(k) == a.shard_index("k0")) same_shard.push_back(k);
+  }
+  // Warm-up: everything is acked, so one sweep folds every key.
+  ack_round(sched, a, b);
+  ASSERT_EQ(a.keys_live(), static_cast<std::size_t>(kKeys));
+  ASSERT_EQ(a.log_entries_resident(), 0u);
+  EXPECT_TRUE(listed(a).empty());
+
+  // One key per tick, all on one engine: each tick's sweep folds the
+  // previous tick's (now acked) key and leaves this tick's resident.
+  constexpr int kTicks = 40;
+  ASSERT_GE(same_shard.size(), static_cast<std::size_t>(kTicks));
+  for (int t = 0; t < kTicks; ++t) {
+    std::set<std::string> created;
+    if (t % 8 == 0) {
+      // A key new to `a`, created by a remote apply.
+      const std::string fresh = "new" + std::to_string(t);
+      b.update(fresh, S::insert(t));
+      (void)b.flush();
+      sched.run();
+      created.insert(fresh);
+    }
+    a.update(same_shard[t], S::insert(kKeys + t));
+    // Before the sweep: resident keys plus the ones created since the
+    // last sweep, never the whole keyspace.
+    std::set<std::string> expected = keys_with_resident_entries(a);
+    expected.insert(created.begin(), created.end());
+    EXPECT_EQ(listed(a), expected) << "tick " << t;
+    (void)a.flush();
+    // After the sweep: exactly the keys still holding entries.
+    EXPECT_EQ(listed(a), keys_with_resident_entries(a)) << "tick " << t;
+    EXPECT_EQ(listed(a).count(same_shard[t]), 1u) << "tick " << t;
+    EXPECT_LE(listed(a).size(), 2u) << "tick " << t;
+    if (t == 1 || t == kTicks - 1) {
+      expect_matches_all_keys_fold(a, a.stats().stability_floor);
+    }
+    sched.run();
+    (void)b.flush();  // acks this tick's entry
+    sched.run();
+  }
+  // Drain: the last ack folds every entry, and states agree.
+  (void)b.flush();
+  sched.run();
+  (void)a.flush();
+  EXPECT_EQ(a.log_entries_resident(), 0u);
+  EXPECT_TRUE(listed(a).empty());
+  expect_matches_all_keys_fold(a, a.stats().stability_floor);
+  for (const std::string& k : b.keys()) {
+    EXPECT_EQ(a.state_of(k), b.state_of(k)) << k;
+  }
+}
+
+TEST(StoreGcFoldListTest, UntouchedEmptyLogsSeeTheLastSweepFloor) {
+  SimScheduler sched;
+  SimNetwork<Env> net(sched, fifo_config(2));
+  ProbeStore a(S{}, 0, net, gc_config(4));
+  ProbeStore b(S{}, 1, net, gc_config(4));
+  // Cold keys share the hot key's engine, so every sweep that folds
+  // the hot key also covers them.
+  const std::string hot = "hot";
+  std::vector<std::string> same;
+  for (int i = 0; same.size() < 5; ++i) {
+    const std::string k = "c" + std::to_string(i);
+    if (a.shard_index(k) == a.shard_index(hot)) same.push_back(k);
+  }
+  const std::string redelivered = same[0], installed = same[1],
+                    served = same[2], fresh = same[3], lagging = same[4];
+  auto floor_of = [&](const std::string& k) {
+    return a.shard_of(k).find(k)->log().floor();
+  };
+  for (int i = 0; i < 3; ++i) a.update(same[i], S::insert(i));
+  a.update(hot, S::insert(0));
+  ack_round(sched, a, b);
+  ASSERT_EQ(a.log_entries_resident(), 0u);
+  const LogicalTime first_floor = floor_of(hot);
+  ASSERT_GT(first_floor, 0u);
+  // Several more sweeps of the same engine, each at a higher floor,
+  // that touch only the hot key.
+  for (int r = 1; r <= 3; ++r) {
+    a.update(hot, S::insert(r));
+    ack_round(sched, a, b);
+  }
+  const LogicalTime last_floor = floor_of(hot);
+  ASSERT_GT(last_floor, first_floor);
+  ASSERT_EQ(a.log_entries_resident(), 0u);
+  auto& engine = a.engine_of(hot);
+
+  // A redelivery at the last sweep floor is absorbed below it.
+  const auto before = a.state_of(redelivered);
+  EXPECT_TRUE(engine.apply_remote(
+      1, redelivered,
+      UpdateMessage<S>{{last_floor, 1}, S::insert(999), {}}));
+  EXPECT_EQ(a.shard_of(redelivered).find(redelivered)
+                ->stats()
+                .absorbed_below_floor,
+            1u);
+  EXPECT_EQ(a.state_of(redelivered), before);
+
+  // An install whose floor the last sweep already covers is refused.
+  KeySnapshot<S, std::string> ks;
+  ks.key = installed;
+  ks.base = {12345};
+  ks.floor = last_floor;
+  const auto installed_before = a.state_of(installed);
+  bool floor_raised = true;
+  EXPECT_EQ(engine.install_key(ks, &floor_raised), 0u);
+  EXPECT_FALSE(floor_raised);
+  EXPECT_EQ(a.state_of(installed), installed_before);
+
+  // A key created after the last sweep keeps floor 0 until the next;
+  // one with an entry above the floor stays listed across it.
+  a.update(fresh, S::insert(7));
+  (void)a.flush();  // sweeps nothing new: the floor has not moved
+  a.update(hot, S::insert(8));
+  sched.run();
+  (void)b.flush();  // acks `fresh`, not `hot`'s newest entry
+  sched.run();
+  a.update(lagging, S::insert(9));
+  auto floors_served = [&] {
+    std::map<std::string, LogicalTime> out;
+    for (const auto& k : engine.encode_snapshot(a.shard_count()).keys) {
+      out[k.key] = k.floor;
+    }
+    return out;
+  };
+  auto snap = floors_served();
+  EXPECT_EQ(snap.at(served), last_floor);
+  EXPECT_EQ(snap.at(redelivered), last_floor);
+  EXPECT_EQ(snap.at(installed), last_floor);
+  EXPECT_EQ(snap.at(fresh), 0u);
+  EXPECT_EQ(snap.at(lagging), 0u);
+
+  (void)a.flush();  // sweeps: folds `fresh`, keeps the newer entries
+  const LogicalTime next_floor = floor_of(fresh);
+  EXPECT_GT(next_floor, last_floor);
+  EXPECT_EQ(listed(a), keys_with_resident_entries(a));
+  EXPECT_EQ(listed(a).count(lagging), 1u);
+  snap = floors_served();
+  EXPECT_EQ(snap.at(served), next_floor);
+  EXPECT_EQ(snap.at(lagging), next_floor);
+
+  // The next ack folds what the last sweep left resident.
+  ack_round(sched, a, b);
+  EXPECT_EQ(a.log_entries_resident(), 0u);
+  expect_matches_all_keys_fold(a, a.stats().stability_floor);
+  sched.run();
+  for (const std::string& k : a.keys()) {
+    EXPECT_EQ(a.state_of(k), b.state_of(k)) << k;
+  }
 }
 
 }  // namespace
